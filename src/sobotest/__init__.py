@@ -14,8 +14,6 @@ from .asymptotics import (
     expansion_coeffs,
     gegenbauer_expectation_coeffs,
     limit_law,
-    mixture_quantile,
-    mixture_tail,
     noncentral_chi2_cdf,
     noncentral_chi2_sf,
     noncentrality_delayed,
@@ -95,8 +93,6 @@ __all__ = [
     "harmonic_dim",
     "limit_law",
     "load_csv",
-    "mixture_quantile",
-    "mixture_tail",
     "noncentral_chi2_cdf",
     "noncentral_chi2_sf",
     "noncentrality_delayed",

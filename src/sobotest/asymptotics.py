@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 from scipy import optimize
 from scipy import stats as sps
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtr, pdtrc
 
 from .rng import stream
 from .rotsym import AngularFunction
@@ -43,8 +44,6 @@ __all__ = [
     "classify_threshold",
     "MixtureLaw",
     "limit_law",
-    "mixture_quantile",
-    "mixture_tail",
     "noncentral_chi2_cdf",
     "noncentral_chi2_sf",
     "AsymptoticPower",
@@ -291,17 +290,27 @@ def classify_threshold(weights: WeightSequence, f: AngularFunction,
 
 def _poisson_window(half_nc: float):
     """Mode-centered Poisson(half_nc) weights covering all but
-    _SERIES_REL_TAIL of the mass."""
+    _SERIES_REL_TAIL of the mass, and the mass they leave out."""
     mode = int(half_nc)
     half = int(10 + 8.0 * math.sqrt(half_nc + 1.0))
     while True:
         lo = max(0, mode - half)
-        js = np.arange(lo, mode + half + 1)
-        logw = js * math.log(half_nc) - half_nc - gammaln(js + 1)
-        w = np.exp(logw)
-        if w.sum() >= 1.0 - _SERIES_REL_TAIL:
-            return js, w
+        hi = mode + half
+        outside = float(pdtrc(hi, half_nc)) + (float(pdtr(lo - 1, half_nc)) if lo else 0.0)
+        if outside <= _SERIES_REL_TAIL:
+            break
         half *= 2
+    js = np.arange(lo, hi + 1)
+    logw = js * math.log(half_nc) - half_nc - gammaln(js + 1)
+    w = np.exp(logw)
+    # rounding in the log-weights grows with half_nc and can leave the
+    # window short of its mass by far more than it leaves out (2.5e-10 at
+    # half_nc = 3.9e5); such a window is rescaled, an overshoot is clipped
+    # by the caller
+    total = w.sum()
+    if total < 1.0 - _SERIES_REL_TAIL:
+        w /= total
+    return js, w, outside
 
 
 def _series_combine(x, df: int, nc: float, chi2_fn):
@@ -309,7 +318,7 @@ def _series_combine(x, df: int, nc: float, chi2_fn):
     if nc == 0.0:
         out = chi2_fn(x_arr, df)
     else:
-        js, w = _poisson_window(nc / 2.0)
+        js, w, _ = _poisson_window(nc / 2.0)
         out = w @ chi2_fn(x_arr[None, :], (df + 2 * js)[:, None])
         # unnormalized window weights can overshoot 1 by rounding
         out = np.clip(out, 0.0, 1.0)
@@ -334,15 +343,15 @@ class MixtureLaw:
     """Distribution of sum_k w_k Y_k with independent chi-square terms
     Y_k ~ chi2(df_k, nc_k).
 
-    Quantiles and tail probabilities come from a cached Monte Carlo sample
-    drawn from per-(term, block) counter-based streams, which makes the
-    sample deterministic in the seed and exactly linear in the weights.
-    Single-term laws are evaluated through the deterministic noncentral
-    series instead, with the Monte Carlo sample kept as a mandatory
-    cross-check at 3 standard errors wherever the sample can resolve the
-    probability (at least 100 expected draws on the rarer side); past
-    that depth a million-draw sample carries no information and the
-    series value stands alone.
+    A single-term law is evaluated by the noncentral series alone and draws
+    nothing; the error it reports (`se` of `quantile` and `tail`) is the
+    series' truncation bound, the Poisson mass left outside the summed
+    window: 0 for a central term and at most 1e-12 otherwise.  A
+    multi-term law reads its quantiles and tail probabilities off a cached,
+    sorted Monte Carlo sample of `draws` values (1M by default) drawn from
+    per-(term, block) counter-based streams, which makes the sample
+    deterministic in the seed and exactly linear in the weights; its `se`
+    is the Monte Carlo standard error.
     """
 
     def __init__(self, p: int, terms, draws: int = _DEFAULT_DRAWS,
@@ -402,6 +411,11 @@ class MixtureLaw:
             self._samples[key] = total
         return self._samples[key]
 
+    @cached_property
+    def _series_bound(self) -> float:
+        _, _, nc = self.terms[0]
+        return 0.0 if nc == 0.0 else _poisson_window(nc / 2.0)[2]
+
     def _series_tail(self, c: float) -> float:
         weight, df, nc = self.terms[0]
         return float(noncentral_chi2_sf(c / weight, df, nc))
@@ -421,33 +435,31 @@ class MixtureLaw:
 
     def quantile(self, alpha: float, draws: Optional[int] = None,
                  seed: Optional[int] = None):
-        """Upper-alpha point with its standard error (memoized)."""
+        """Upper-alpha point with its error (memoized)."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        memo_key = (alpha, self.draws if draws is None else int(draws),
-                    self.seed if seed is None else int(seed))
+        draws = self.draws if draws is None else int(draws)
+        seed = self.seed if seed is None else int(seed)
+        memo_key = (alpha, draws, seed)
         if memo_key in self._quantiles:
             return self._quantiles[memo_key]
-        sample = self.sample(draws, seed)
-        size = sample.size
-        value_mc = float(np.quantile(sample, 1.0 - alpha))
-        rank = (1.0 - alpha) * (size - 1)
-        band = math.sqrt(alpha * (1.0 - alpha) * size)
-        lo = sample[max(0, math.floor(rank - band))]
-        hi = sample[min(size - 1, math.ceil(rank + band))]
-        se = float(hi - lo) / 2.0
+        self._validate_draws(draws)
         if len(self.terms) == 1:
-            value = self._series_quantile(alpha)
-            beyond = (size - np.searchsorted(sample, value, side="right")) / size
-            check_se = math.sqrt(alpha * (1.0 - alpha) / size)
-            if (size * min(alpha, 1.0 - alpha) >= 100.0
-                    and abs(beyond - alpha) > 3.0 * check_se):
-                raise ArithmeticError(
-                    "Monte Carlo mass beyond the series quantile is "
-                    f"{beyond:.6f}, expected {alpha:.6f} within 3 x {check_se:.2g}")
-            result = (value, se)
+            result = (self._series_quantile(alpha), self._series_bound)
         else:
-            result = (value_mc, se)
+            sample = self.sample(draws, seed)
+            size = sample.size
+            # np.quantile's default linear interpolation, read off the
+            # sorted sample instead of partitioning a copy of it
+            rank = (1.0 - alpha) * (size - 1)
+            below = math.floor(rank)
+            frac = rank - below
+            a, b = sample[below], sample[min(below + 1, size - 1)]
+            value = b - (b - a) * (1.0 - frac) if frac >= 0.5 else a + (b - a) * frac
+            band = math.sqrt(alpha * (1.0 - alpha) * size)
+            lo = sample[max(0, math.floor(rank - band))]
+            hi = sample[min(size - 1, math.ceil(rank + band))]
+            result = (float(value), float(hi - lo) / 2.0)
         if len(self._quantiles) >= 64:
             self._quantiles.clear()
         self._quantiles[memo_key] = result
@@ -455,20 +467,14 @@ class MixtureLaw:
 
     def tail(self, c: float, draws: Optional[int] = None,
              seed: Optional[int] = None):
-        """P[mixture > c] with its standard error."""
+        """P[mixture > c] with its error."""
+        if len(self.terms) == 1:
+            self._validate_draws(self.draws if draws is None else int(draws))
+            return self._series_tail(c), self._series_bound
         sample = self.sample(draws, seed)
         size = sample.size
         beyond = float(size - np.searchsorted(sample, c, side="right")) / size
         se = math.sqrt(max(beyond * (1.0 - beyond), 1.0 / size) / size)
-        if len(self.terms) == 1:
-            value = self._series_tail(c)
-            check_se = math.sqrt(max(value * (1.0 - value), 1.0 / size) / size)
-            if (size * min(value, 1.0 - value) >= 100.0
-                    and abs(beyond - value) > 3.0 * check_se):
-                raise ArithmeticError(
-                    f"Monte Carlo tail {beyond:.6f} disagrees with the series "
-                    f"value {value:.6f} beyond 3 x {check_se:.2g}")
-            return value, se
         return beyond, se
 
     def to_record(self) -> str:
@@ -482,18 +488,6 @@ class MixtureLaw:
         for i, (weight, df, nc) in enumerate(self.terms, start=1):
             lines.append(f"term{i}={weight:.12g},{df},{nc:.12g}")
         return "\n".join(lines) + "\n"
-
-
-def mixture_quantile(law: MixtureLaw, alpha: float,
-                     draws: Optional[int] = None,
-                     seed: Optional[int] = None):
-    return law.quantile(alpha, draws=draws, seed=seed)
-
-
-def mixture_tail(law: MixtureLaw, c: float,
-                 draws: Optional[int] = None,
-                 seed: Optional[int] = None):
-    return law.tail(c, draws=draws, seed=seed)
 
 
 def limit_law(weights: WeightSequence, p: int,

@@ -15,8 +15,6 @@ from sobotest.asymptotics import (
     expansion_system,
     gegenbauer_expectation_coeffs,
     limit_law,
-    mixture_quantile,
-    mixture_tail,
     noncentral_chi2_cdf,
     noncentral_chi2_sf,
     noncentrality_delayed,
@@ -440,6 +438,23 @@ def test_noncentral_series_large_noncentrality():
     assert noncentral_chi2_cdf(nc + df - 1.0, df, nc) == pytest.approx(0.5, abs=0.02)
 
 
+def test_noncentral_series_terminates_at_huge_noncentrality():
+    # Bingham against exp(s^3): nc = 6.0e3 at tau = 3 and 7.8e5 at tau = 4.5,
+    # where rounding in the Poisson log-weights used to keep the window
+    # growing until memory ran out
+    taus = [0.0, 1.5, 3.0, 4.5]
+    rows = power_curve(BINGHAM, 3, power(3), taus, 0.05)
+    assert len(rows) == 4
+    nc = limit_law(BINGHAM, 3, power(3), 4.5, 1.0 / 12.0).terms[0][2]
+    assert nc > 7e5
+    ref = stats.ncx2.sf(stats.chi2.ppf(0.95, 5), 5, nc)
+    assert rows[-1].power == pytest.approx(ref, rel=1e-9)
+    for nc in (9495.0, 3.8e4, 7.8e5):
+        x = nc + 5.0 + np.array([-2.0, 0.0, 2.0]) * math.sqrt(2.0 * (5.0 + 2.0 * nc))
+        assert np.allclose(noncentral_chi2_sf(x, 5, nc), stats.ncx2.sf(x, 5, nc),
+                           rtol=1e-10, atol=0.0)
+
+
 def test_noncentral_series_stays_a_probability():
     # the window dot product used to overshoot 1 by a few ulp out here
     assert noncentral_chi2_sf(11.0705, 5, 6025.41) <= 1.0
@@ -452,10 +467,12 @@ def test_single_term_quantile_is_deterministic_series_value():
     value, se = law.quantile(0.05)
     assert value == pytest.approx(stats.chi2.ppf(0.95, 3), rel=1e-10)
     assert value == pytest.approx(7.814727903251179, rel=1e-10)
-    assert se > 0.0
+    # the series' truncation bound: nothing is left out of a central term
+    assert se == 0.0
     noncentral = MixtureLaw(3, [(2.0, 5, 3.7)])
-    value, _ = noncentral.quantile(0.1)
+    value, se = noncentral.quantile(0.1)
     assert value == pytest.approx(2.0 * stats.ncx2.ppf(0.9, 5, 3.7), rel=1e-8)
+    assert 0.0 <= se <= 1e-12
 
 
 def test_single_term_tail_series_value():
@@ -464,7 +481,47 @@ def test_single_term_tail_series_value():
     assert value == pytest.approx(stats.ncx2.sf(7.814727903251179, 3, 3.0), rel=1e-9)
     # frozen from a direct Poisson-mixture sum over central tails
     assert value == pytest.approx(0.2746396149, rel=1e-8)
-    assert se > 0.0
+    # the Poisson mass left outside the summed window
+    assert 0.0 <= se <= 1e-12
+
+
+def test_single_term_law_draws_nothing(monkeypatch):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a single-term law drew a Monte Carlo sample")
+
+    monkeypatch.setattr(MixtureLaw, "sample", no_sample)
+    for terms in ([(1.0, 3, 0.0)], [(0.5, 5, 2.5)]):
+        law = MixtureLaw(3, terms, seed=7)
+        law.quantile(0.05)
+        law.tail(4.0)
+
+
+def test_single_term_tail_at_other_law_seeds():
+    # a pointwise Monte Carlo cross-check used to raise ArithmeticError here
+    value, se = limit_law(BINGHAM, 3, seed=5).tail(14.32)
+    assert value == pytest.approx(stats.chi2.sf(14.32, 5), rel=1e-10)
+    assert se == 0.0
+
+
+@pytest.mark.parametrize("p", [3, 10])
+@pytest.mark.parametrize("nc", [0.0, 6.5])
+def test_single_term_series_within_dkw_band_of_sample(p, nc):
+    # Dvoretzky-Kiefer-Wolfowitz: sup_x |F_N(x) - F(x)| <= eps with
+    # probability >= 1 - delta, simultaneously over all x
+    delta = 1e-6
+    df = harmonic_dim(p, 2)
+    for seed in (0, 5, 10, 11):
+        law = MixtureLaw(p, [(0.5, df, nc)], seed=seed)
+        sample = law.sample()
+        size = sample.size
+        eps = math.sqrt(math.log(2.0 / delta) / (2.0 * size))
+        # the supremum sits at order statistics; check a dense set of them
+        # from both sides of each jump
+        idx = np.unique(np.concatenate([np.linspace(0, size - 1, 2001).astype(int),
+                                        np.arange(50), size - 1 - np.arange(50)]))
+        cdf = noncentral_chi2_cdf(sample[idx] / 0.5, df, nc)
+        gap = np.maximum(np.abs(cdf - (idx + 1) / size), np.abs(cdf - idx / size))
+        assert gap.max() <= eps, (seed, gap.max(), eps)
 
 
 def test_mixture_sample_determinism_and_scaling():
@@ -500,11 +557,19 @@ def test_mixture_quantile_monotone_in_alpha():
 
 def test_mixture_tail_monotone_and_wrappers():
     law = MixtureLaw(3, [(1.0, 3, 0.0), (0.7, 5, 2.0)], seed=3)
-    t1, _ = mixture_tail(law, 2.0)
-    t2, _ = mixture_tail(law, 8.0)
+    t1, _ = law.tail(2.0)
+    t2, _ = law.tail(8.0)
     assert t1 > t2
-    q, se = mixture_quantile(law, 0.05)
+    q, se = law.quantile(0.05)
     assert q > 0 and se >= 0.0
+
+
+def test_multi_term_quantile_matches_numpy_quantile_bitwise():
+    law = MixtureLaw(3, [(1.0, 3, 0.0), (0.7, 5, 2.0)], seed=3)
+    sample = law.sample()
+    for alpha in (0.01, 0.05, 0.1, 0.5):
+        value, _ = law.quantile(alpha)
+        assert value == float(np.quantile(sample, 1.0 - alpha))
 
 
 def test_mixture_validation():
