@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -54,10 +53,10 @@ __all__ = [
 
 # coefficient growth makes higher orders useless in double precision
 _MAX_SYSTEM_ORDER = 16
-_DEFAULT_DRAWS = 1_000_000
-_MIN_DRAWS = 100_000
 _MC_BLOCK = 250_000
 _SERIES_REL_TAIL = 1e-12
+_INVERSION_EPS = 1e-12  # target of the inversion's aliasing and truncation errors
+_INVERSION_MAX_NODES = 1 << 18
 _DUAL_FORM_RTOL = 1e-10
 
 
@@ -339,23 +338,111 @@ def noncentral_chi2_sf(x, df: int, nc: float):
     return _series_combine(x, df, nc, sps.chi2.sf)
 
 
+class _Series:
+    """P[w chi2(df, nc) > x] by the Poisson series, with relative accuracy
+    deep in the tail.  Its bound is the Poisson mass outside the window plus
+    rounding in the log-weights j log(nc / 2) - ..., growing with j and
+    |log(nc / 2)|."""
+
+    def __init__(self, weight: float, df: int, nc: float):
+        self.weight, self.df, self.nc = weight, df, nc
+        self.bound = 0.0
+        if nc > 0.0:
+            js, _, outside = _poisson_window(nc / 2.0)
+            self.bound = outside + np.finfo(float).eps * js[-1] * abs(math.log(nc / 2.0))
+
+    def tail(self, x: float):
+        return float(noncentral_chi2_sf(x / self.weight, self.df, self.nc)), self.bound
+
+    def quantile(self, alpha: float):
+        df, nc, target = self.df, self.nc, 1.0 - alpha
+
+        def gap(t):
+            return noncentral_chi2_cdf(t, df, nc) - target
+
+        hi = df + nc + 20.0 * math.sqrt(2.0 * (df + 2.0 * nc)) + 20.0
+        while gap(hi) < 0.0:
+            hi *= 2.0
+        root = optimize.brentq(gap, 0.0, hi, xtol=1e-12 * hi, rtol=8.9e-16)
+        return self.weight * root, self.bound
+
+
+class _Inversion:
+    """P[Q > x], Q = sum_k w_k chi2(d_k, nc_k), by Gil-Pelaez inversion of its
+    characteristic function phi with the midpoint rule (Imhof 1961, Davies
+    1980), 1/2 + sum_j |phi(t_j)| sin(arg phi(t_j) - t_j x) / (pi (j + 1/2)) at
+    t_j = (j + 1/2) h.  h = pi / q_hi aliases at most eps into x in [q_lo, q_hi],
+    beyond which the tail is within eps of 1 or 0; the sum stops where its rest,
+    less the leading geometric term (added), is bounded by eps.  Nodes are cached
+    in blocks over fixed index ranges, so no result depends on call history."""
+
+    def __init__(self, terms):
+        w, d, nc = self._w, self._d, self._nc = [np.array(c, dtype=float) for c in zip(*terms)]
+        # Chernoff: E[exp(s Q)] exp(-s q) >= P[Q > q] (0 < s < 1 / (2 max w)), P[Q < q] (s < 0)
+        s = np.append(-np.logspace(-3, 8, 100), np.linspace(0.005, 0.995, 199)) / (2 * w.max())
+        ws = w * s[:, None]
+        log_mgf = np.sum(nc * ws / (1.0 - 2.0 * ws) - 0.5 * d * np.log1p(-2.0 * ws), axis=1)
+        q = (log_mgf - math.log(_INVERSION_EPS)) / s
+        self.q_lo, self.q_hi = max(0.0, float(q[:100].max())), float(q[100:].min())
+        self.h = math.pi / self.q_hi
+        # t_j, |phi| / (pi (j + 1/2)), arg phi, -log of the rest's bound without the sine
+        self._nodes = np.empty((4, 0))
+        self._extend()
+
+    def _extend(self) -> None:
+        size = self._nodes.shape[1]
+        j = np.arange(size, max(2 * size, 512)) + 0.5
+        t = j * self.h
+        wt = self._w * t[:, None]
+        r = 1.0 + 4.0 * wt * wt
+        log_mod = -np.sum(2.0 * self._nc * wt * wt / r + 0.25 * self._d * np.log(r), axis=1)
+        amp = np.exp(log_mod) / (math.pi * j)
+        arg = np.sum(0.5 * self._d * np.arctan(2.0 * wt) + self._nc * wt / r, axis=1)
+        # summation by parts twice bounds the rest past t by h^2 / (pi sin^2(h x
+        # / 2)) int_t^inf |(phi(s) / s)''| ds, where |phi(s)| <= |phi(t)| (t/s)^de
+        # (log r is convex in log s; the noncentral factor falls), |psi| <= dd/s +
+        # lam/s^2 and |psi'| <= dd/s^2 + 2 lam/s^3 for psi = phi'/phi
+        dd = 0.5 * float(self._d.sum())
+        lam = float(np.sum(self._nc / (4.0 * self._w)))
+        de = np.sum(0.5 * self._d * (1.0 - 1.0 / r), axis=1)
+        u = lam / t
+        poly = ((dd + 1.0) * (dd + 2.0) / (de + 2.0) + (2.0 * dd + 4.0) * u / (de + 3.0)
+                + u * u / (de + 4.0))
+        bound = log_mod + np.log(poly / (math.pi * t * t)) + 2.0 * math.log(self.h)
+        self._nodes = np.concatenate([self._nodes, [t, amp, arg, -bound]], axis=1)
+
+    def tail(self, x: float):
+        if x <= self.q_lo:
+            return 1.0, _INVERSION_EPS
+        if x >= self.q_hi:
+            return 0.0, _INVERSION_EPS
+        half = math.sin(0.5 * self.h * x)
+        goal = -math.log(_INVERSION_EPS * half * half)
+        while self._nodes[3, -1] < goal and self._nodes.shape[1] < _INVERSION_MAX_NODES:
+            self._extend()
+        t, amp, arg, bound = self._nodes
+        k = min(int(np.searchsorted(bound, goal)), bound.size - 1)
+        head = float(np.sum(amp[:k] * np.sin(arg[:k] - t[:k] * x)))
+        rest = -float(amp[k]) * math.cos(arg[k] - (t[k] - 0.5 * self.h) * x) / (2.0 * half)
+        value = min(max(0.5 + head + rest, 0.0), 1.0)
+        return value, _INVERSION_EPS + math.exp(-bound[k]) / (half * half)
+
+    def quantile(self, alpha: float):
+        root = optimize.brentq(lambda x: self.tail(x)[0] - alpha, 0.0, self.q_hi,
+                               xtol=1e-12 * self.q_hi, rtol=8.9e-16)
+        return root, self.tail(root)[1]
+
+
 class MixtureLaw:
     """Distribution of sum_k w_k Y_k with independent chi-square terms
-    Y_k ~ chi2(df_k, nc_k).
+    Y_k ~ chi2(df_k, nc_k), evaluated deterministically; nothing is drawn.
 
-    A single-term law is evaluated by the noncentral series alone and draws
-    nothing; the error it reports (`se` of `quantile` and `tail`) is the
-    series' truncation bound, the Poisson mass left outside the summed
-    window: 0 for a central term and at most 1e-12 otherwise.  A
-    multi-term law reads its quantiles and tail probabilities off a cached,
-    sorted Monte Carlo sample of `draws` values (1M by default) drawn from
-    per-(term, block) counter-based streams, which makes the sample
-    deterministic in the seed and exactly linear in the weights; its `se`
-    is the Monte Carlo standard error.
-    """
+    One term is evaluated by the noncentral Poisson series, two or more by
+    characteristic-function inversion.  `quantile` and `tail` return the
+    evaluator's error bound (in probability) as `se`: 0 for one central
+    term, about 2e-12 absolute for the inversion."""
 
-    def __init__(self, p: int, terms, draws: int = _DEFAULT_DRAWS,
-                 seed: int = 0, tail_bound: float = 0.0, signature=None):
+    def __init__(self, p: int, terms, tail_bound: float = 0.0, signature=None):
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
         clean = []
@@ -374,117 +461,46 @@ class MixtureLaw:
             raise ValueError(f"tail bound must be >= 0, got {tail_bound}")
         self.p = p
         self.terms = tuple(clean)
-        self.draws = int(draws)
-        self.seed = int(seed)
         self.tail_bound = float(tail_bound)
         self.signature = signature
-        self._samples = {}
         self._quantiles = {}
-        self._validate_draws(self.draws)
+        self._evaluator = (_Series(*self.terms[0]) if len(self.terms) == 1
+                           else _Inversion(self.terms))
 
-    @staticmethod
-    def _validate_draws(draws: int) -> None:
-        if draws < _MIN_DRAWS:
-            raise ValueError(f"need at least {_MIN_DRAWS} draws, got {draws}")
+    def sample(self, draws: int = 1_000_000, seed: int = 0) -> np.ndarray:
+        """Sorted Monte Carlo draws from per-(term, block) counter-based
+        streams, exactly linear in the weights; the tests' independent
+        reference for the evaluators, which never use it."""
+        total = np.zeros(draws)
+        for idx, (weight, df, nc) in enumerate(self.terms):
+            for block, start in enumerate(range(0, draws, _MC_BLOCK)):
+                gen = stream(seed, idx, block)
+                count = min(_MC_BLOCK, draws - start)
+                if nc > 0.0:
+                    part = gen.noncentral_chisquare(df, nc, count)
+                else:
+                    part = gen.chisquare(df, count)
+                total[start:start + count] += weight * part
+        total.sort()
+        return total
 
-    def sample(self, draws: Optional[int] = None,
-               seed: Optional[int] = None) -> np.ndarray:
-        """Sorted Monte Carlo draws of the mixture (cached)."""
-        draws = self.draws if draws is None else int(draws)
-        seed = self.seed if seed is None else int(seed)
-        self._validate_draws(draws)
-        key = (draws, seed)
-        if key not in self._samples:
-            total = np.zeros(draws)
-            for idx, (weight, df, nc) in enumerate(self.terms):
-                for block, start in enumerate(range(0, draws, _MC_BLOCK)):
-                    gen = stream(seed, idx, block)
-                    count = min(_MC_BLOCK, draws - start)
-                    if nc > 0.0:
-                        part = gen.noncentral_chisquare(df, nc, count)
-                    else:
-                        part = gen.chisquare(df, count)
-                    total[start:start + count] += weight * part
-            total.sort()
-            if len(self._samples) >= 4:
-                self._samples.clear()
-            self._samples[key] = total
-        return self._samples[key]
-
-    @cached_property
-    def _series_bound(self) -> float:
-        _, _, nc = self.terms[0]
-        return 0.0 if nc == 0.0 else _poisson_window(nc / 2.0)[2]
-
-    def _series_tail(self, c: float) -> float:
-        weight, df, nc = self.terms[0]
-        return float(noncentral_chi2_sf(c / weight, df, nc))
-
-    def _series_quantile(self, alpha: float) -> float:
-        weight, df, nc = self.terms[0]
-        target = 1.0 - alpha
-
-        def gap(t):
-            return noncentral_chi2_cdf(t, df, nc) - target
-
-        hi = df + nc + 20.0 * math.sqrt(2.0 * (df + 2.0 * nc)) + 20.0
-        while gap(hi) < 0.0:
-            hi *= 2.0
-        root = optimize.brentq(gap, 0.0, hi, xtol=1e-12 * hi, rtol=8.9e-16)
-        return weight * root
-
-    def quantile(self, alpha: float, draws: Optional[int] = None,
-                 seed: Optional[int] = None):
+    def quantile(self, alpha: float):
         """Upper-alpha point with its error (memoized)."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        draws = self.draws if draws is None else int(draws)
-        seed = self.seed if seed is None else int(seed)
-        memo_key = (alpha, draws, seed)
-        if memo_key in self._quantiles:
-            return self._quantiles[memo_key]
-        self._validate_draws(draws)
-        if len(self.terms) == 1:
-            result = (self._series_quantile(alpha), self._series_bound)
-        else:
-            sample = self.sample(draws, seed)
-            size = sample.size
-            # np.quantile's default linear interpolation, read off the
-            # sorted sample instead of partitioning a copy of it
-            rank = (1.0 - alpha) * (size - 1)
-            below = math.floor(rank)
-            frac = rank - below
-            a, b = sample[below], sample[min(below + 1, size - 1)]
-            value = b - (b - a) * (1.0 - frac) if frac >= 0.5 else a + (b - a) * frac
-            band = math.sqrt(alpha * (1.0 - alpha) * size)
-            lo = sample[max(0, math.floor(rank - band))]
-            hi = sample[min(size - 1, math.ceil(rank + band))]
-            result = (float(value), float(hi - lo) / 2.0)
-        if len(self._quantiles) >= 64:
-            self._quantiles.clear()
-        self._quantiles[memo_key] = result
-        return result
+        if alpha not in self._quantiles:
+            if len(self._quantiles) >= 64:
+                self._quantiles.clear()
+            self._quantiles[alpha] = self._evaluator.quantile(alpha)
+        return self._quantiles[alpha]
 
-    def tail(self, c: float, draws: Optional[int] = None,
-             seed: Optional[int] = None):
+    def tail(self, c: float):
         """P[mixture > c] with its error."""
-        if len(self.terms) == 1:
-            self._validate_draws(self.draws if draws is None else int(draws))
-            return self._series_tail(c), self._series_bound
-        sample = self.sample(draws, seed)
-        size = sample.size
-        beyond = float(size - np.searchsorted(sample, c, side="right")) / size
-        se = math.sqrt(max(beyond * (1.0 - beyond), 1.0 / size) / size)
-        return beyond, se
+        return self._evaluator.tail(float(c))
 
     def to_record(self) -> str:
-        lines = [
-            f"p={self.p}",
-            f"n_terms={len(self.terms)}",
-            f"draws={self.draws}",
-            f"seed={self.seed}",
-            f"tail_bound={self.tail_bound:.12g}",
-        ]
+        lines = [f"p={self.p}", f"n_terms={len(self.terms)}",
+                 f"tail_bound={self.tail_bound:.12g}"]
         for i, (weight, df, nc) in enumerate(self.terms, start=1):
             lines.append(f"term{i}={weight:.12g},{df},{nc:.12g}")
         return "\n".join(lines) + "\n"
@@ -493,8 +509,7 @@ class MixtureLaw:
 def limit_law(weights: WeightSequence, p: int,
               f: Optional[AngularFunction] = None,
               tau: Optional[float] = None,
-              rate_exponent: Optional[float] = None, q: int = 12,
-              draws: int = _DEFAULT_DRAWS, seed: int = 0) -> MixtureLaw:
+              rate_exponent: Optional[float] = None, q: int = 12) -> MixtureLaw:
     """Limiting chi-square mixture of the statistic.
 
     With no alternative arguments this is the null law: one central term
@@ -503,6 +518,7 @@ def limit_law(weights: WeightSequence, p: int,
     of the k_star parity pick up the delayed-case noncentrality when the
     rate sits exactly at the threshold 1/(2 k_star); faster-decaying rates
     leave every term central; slower ones have no nondegenerate limit.
+    Evaluated deterministically, with no draws (see MixtureLaw).
     """
     given = (f is not None, tau is not None, rate_exponent is not None)
     if any(given) and not all(given):
@@ -531,8 +547,7 @@ def limit_law(weights: WeightSequence, p: int,
                             p, k, report.k_star, tau, f)
     terms = [(weights.weight(k) ** 2, harmonic_dim(p, k), noncentral[k])
              for k in active]
-    return MixtureLaw(p, terms, draws=draws, seed=seed, tail_bound=tail_bound,
-                      signature=weights.signature(p))
+    return MixtureLaw(p, terms, tail_bound=tail_bound, signature=weights.signature(p))
 
 
 @dataclass(frozen=True)
@@ -546,49 +561,34 @@ class AsymptoticPower:
 
 
 def asymptotic_power(weights: WeightSequence, p: int, f: AngularFunction,
-                     tau: float, alpha: float, q: int = 12,
-                     draws: int = _DEFAULT_DRAWS,
-                     seed: int = 0) -> AsymptoticPower:
+                     tau: float, alpha: float, q: int = 12) -> AsymptoticPower:
     """P[noncentral mixture > null upper-alpha point] at the threshold
-    rate of the (weights, f) pair; exactly alpha with the trivial flag
-    when the classification is blind."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    report = classify_threshold(weights, f, q)
-    if report.case == "blind":
-        return AsymptoticPower(alpha, 0.0, True)
-    null = limit_law(weights, p, q=q, draws=draws, seed=seed)
-    crit, _ = null.quantile(alpha)
-    alt = limit_law(weights, p, f, tau, report.rate_exponent, q=q,
-                    draws=draws, seed=seed)
-    power, se = alt.tail(crit)
-    return AsymptoticPower(power, se, False, alt.tail_bound)
+    rate of the (weights, f) pair, with the law's error bound as `se`;
+    exactly alpha with the trivial flag when the classification is blind."""
+    return power_curve(weights, p, f, [tau], alpha, q=q)[0]
 
 
 def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
-                alpha: float, q: int = 12, draws: int = _DEFAULT_DRAWS,
-                seed: int = 0) -> list:
+                alpha: float, q: int = 12) -> list:
     """asymptotic_power over a tau grid, reusing one null critical value."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     report = classify_threshold(weights, f, q)
     if report.case == "blind":
         return [AsymptoticPower(alpha, 0.0, True) for _ in taus]
-    null = limit_law(weights, p, q=q, draws=draws, seed=seed)
+    null = limit_law(weights, p, q=q)
     crit, _ = null.quantile(alpha)
     rows = []
     for tau in taus:
-        alt = limit_law(weights, p, f, tau, report.rate_exponent, q=q,
-                        draws=draws, seed=seed)
+        alt = limit_law(weights, p, f, tau, report.rate_exponent, q=q)
         power, se = alt.tail(crit)
         rows.append(AsymptoticPower(power, se, False, alt.tail_bound))
     return rows
 
 
 def power_curve_csv(weights: WeightSequence, p: int, f: AngularFunction,
-                    taus, alpha: float, q: int = 12,
-                    draws: int = _DEFAULT_DRAWS, seed: int = 0) -> str:
-    rows = power_curve(weights, p, f, taus, alpha, q=q, draws=draws, seed=seed)
+                    taus, alpha: float, q: int = 12) -> str:
+    rows = power_curve(weights, p, f, taus, alpha, q=q)
     lines = ["tau,power,se,flag"]
     for tau, row in zip(taus, rows):
         flag = "trivial" if row.trivial else "ok"

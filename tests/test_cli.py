@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import sobotest.cli as cli_module
+from sobotest.asymptotics import MixtureLaw
 from sobotest.cli import cli
 from sobotest.harness import PowerTable
 
@@ -125,6 +126,27 @@ def test_asymptotic_blind_is_trivial(capsys):
                        "--f", "watson", "--p", "3", "--taus", "0,1")
     assert code == 0
     assert all(ln.endswith(",trivial") for ln in out.splitlines()[1:])
+
+
+def test_multi_term_commands_draw_nothing(tmp_path, capsys, monkeypatch):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a command drew a Monte Carlo law sample")
+
+    monkeypatch.setattr(MixtureLaw, "sample", no_sample)
+    sample = tmp_path / "s.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "300", "--kappa", "0.5",
+        "--f", "vmf", "--seed", "2", "--out", str(sample))
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(
+        "[experiment]\np = 3\nf = vmf\ntests = 1,0.5\nn_list = 50\n"
+        "rate_exponents = 2\ntau_grid = 0, 2\nreplicates = 5\n", encoding="utf-8")
+    for argv in (("test", str(sample), "--weights", "1,0.5"),
+                 ("asymptotic", "--weights", "1,0.5,0.25", "--f", "vmf",
+                  "--p", "3", "--taus", "0,1,2"),
+                 ("power-curve", str(cfgfile))):
+        first = run(capsys, *argv)
+        assert first[0] == 0, first
+        assert run(capsys, *argv) == first
 
 
 # ------------------------------------------------------------------- plot
