@@ -10,73 +10,21 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rotsym import _NORM_TOL
 from .specfun import gegenbauer_eval, harmonic_dim
 
 __all__ = [
-    "HarmonicVector",
-    "to_hyperspherical",
-    "from_hyperspherical",
-    "basis_eval",
     "basis_matrix",
     "addition_kernel",
 ]
 
-_NORM_TOL = 1e-9
 _POLE_EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class HarmonicVector:
-    """Values (g_{1,k}(x), ..., g_{d,k}(x)) of the orthonormal degree-k
-    basis at one point."""
-
-    p: int
-    k: int
-    values: np.ndarray
-
-
-def _check_points(x: np.ndarray, p: int) -> None:
-    norms = np.einsum("ij,ij->i", x, x)
-    if np.any(np.abs(norms - 1.0) > 2.0 * _NORM_TOL):
-        raise ValueError("points must lie on the unit sphere (norm tolerance 1e-9)")
-
-
-def to_hyperspherical(x) -> np.ndarray:
-    """Angles (theta_1, ..., theta_{p-1}) of a point on the sphere:
-    theta_1 in [0, 2*pi), the rest in [0, pi].  At the poles the
-    undetermined lower angles are set to 0."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("expected a single point in R^p, p >= 2")
-    p = x.size
-    _check_points(x[None, :], p)
-    theta = np.zeros(p - 1)
-    radial = 1.0
-    for a in range(p - 1, 1, -1):
-        c = x[a] / radial if radial > _POLE_EPS else 1.0
-        c = min(1.0, max(-1.0, c))
-        theta[a - 1] = math.acos(c)
-        radial *= math.sin(theta[a - 1])
-    theta[0] = math.atan2(x[0], x[1]) % (2.0 * math.pi)
-    if radial <= _POLE_EPS:
-        theta[0] = 0.0
-    return theta
-
-
-def from_hyperspherical(theta) -> np.ndarray:
-    """Inverse chart: x_p = cos theta_{p-1}, and lower coordinates carry
-    the accumulated sine product, ending in (sin theta_1, cos theta_1)."""
-    theta = np.asarray(theta, dtype=float)
-    p = theta.size + 1
-    if p < 2:
-        raise ValueError("need at least one angle")
-    x = np.zeros(p)
-    radial = 1.0
-    for a in range(p - 1, 0, -1):
-        x[a] = radial * math.cos(theta[a - 1])
-        radial *= math.sin(theta[a - 1])
-    x[0] = radial
-    return x
+def _check_points(x: np.ndarray) -> None:
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(np.abs(norms - 1.0) > _NORM_TOL):
+        raise ValueError("points must lie on the unit sphere (norm tolerance 1e-8)")
 
 
 def _compositions(total: int, parts: int):
@@ -195,13 +143,15 @@ def _gegen_all_degrees(lam: float, top: int, t: np.ndarray) -> np.ndarray:
 
 def basis_matrix(p: int, k: int, X) -> np.ndarray:
     """Evaluate the degree-k orthonormal basis at each row of X; returns an
-    (n, d_{p,k}) array whose column order matches basis_eval."""
+    (n, d_{p,k}) array whose columns follow the multi-index order of
+    _basis_table, (k, 0, ..., 0) first.  Rows must have unit norm within
+    1e-8, the tolerance of SphericalSample."""
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     X = np.ascontiguousarray(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != p or p < 2:
         raise ValueError("X must be an (n, p) array with p >= 2")
-    _check_points(X, p)
+    _check_points(X)
 
     if p == 2:
         cosm, sinm = _trig_multiples(X[:, 1], X[:, 0], k)
@@ -243,15 +193,6 @@ def basis_matrix(p: int, k: int, X) -> np.ndarray:
             col = col * gegen[(j, lam)][deg]
         out[:, idx] = col
     return out
-
-
-def basis_eval(p: int, k: int, x) -> HarmonicVector:
-    """Orthonormal degree-k basis evaluated at one point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single point; use basis_matrix for batches")
-    values = basis_matrix(p, k, x[None, :])[0]
-    return HarmonicVector(p, k, values)
 
 
 def addition_kernel(p: int, k: int, s):

