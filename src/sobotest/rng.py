@@ -14,7 +14,7 @@ __all__ = ["STREAM_VERSION", "stream"]
 # Version of the stream contract: which draws every (seed, key) yields and
 # how the harness consumes them.  Bump it in any change that moves a row
 # of the golden experiment CSVs under tests/golden/.
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

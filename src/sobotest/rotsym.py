@@ -1,11 +1,17 @@
 """Rotationally symmetric distributions on the sphere: angular functions,
 normalizing constants, exact-moment references, and tangent-normal
-rejection samplers."""
+samplers.
+
+A draw is cos(phi) theta + sin(phi) xi, xi uniform on the subsphere
+orthogonal to theta, phi with log-density log f(kappa cos phi) + (p - 2)
+log sin phi on [0, pi].  `RotSymConfig` builds the inverse CDF of phi once,
+a linear density per cell within 1e-8 of the total mass; a replicate
+inverts n uniforms through a guide table with no rejection loop."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,26 +20,18 @@ from . import rng
 from .specfun import gauss_jacobi_rule, gegenbauer_eval, surface_constant
 
 __all__ = [
-    "AngularFunction",
-    "vmf",
-    "watson",
-    "power",
-    "cauchy",
-    "custom",
-    "RotSymConfig",
-    "SphericalSample",
-    "normalizing_constant",
-    "t_moment_oracle",
-    "sample_uniform",
-    "sample_rotsym",
-    "save_csv",
-    "load_csv",
+    "AngularFunction", "vmf", "watson", "power", "cauchy", "custom", "RotSymConfig",
+    "SphericalSample", "normalizing_constant", "t_moment_oracle", "sample_uniform",
+    "sample_rotsym", "save_csv", "load_csv",
 ]
 
-_ENVELOPE_GRID = 1024
-_ENVELOPE_INFLATION = 1.0 + 1e-12
-_MIN_ACCEPT_RATE = 1e-6
 _NORM_TOL = 1e-8
+# inverse-CDF table: error bound relative to the total mass, and size limits
+_TABLE_TOL, _TABLE_MAX_CELLS, _TABLE_MAX_LEVELS = 1e-8, 1 << 16, 120
+# integrals to 1/4, 1/2, 3/4, 1 of the quartic through a unit cell's _NODES (Boole's last)
+_NODES = np.linspace(0.0, 1.0, 5)
+_PARTIALS = np.array([[251, 232, 243, 224], [646, 992, 918, 1024], [-264, 192, 648, 384],
+                      [106, 32, 378, 1024], [-19, -8, -27, 224]]) / 2880.0
 
 
 @dataclass(frozen=True)
@@ -41,16 +39,21 @@ class AngularFunction:
     """Scalar profile s |-> f(s) with f(0) = 1, applied to kappa * u'theta.
 
     deriv0(k) returns the exact k-th derivative at 0; max_order bounds the
-    orders available (None = all).
-    """
+    orders available (None = all); log_fn = log f (None: the log of fn)."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv0: Callable[[int], float]
     max_order: Optional[int] = None
+    log_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
+
+    def log(self, s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self.log_fn(s) if self.log_fn is not None else np.log(self.fn(s))
 
     def derivative_at_zero(self, k: int) -> float:
         if k < 0:
@@ -64,15 +67,11 @@ class AngularFunction:
 
 def vmf() -> AngularFunction:
     """Exponential profile; every derivative at 0 equals 1."""
-    return AngularFunction("vmf", np.exp, lambda k: 1.0)
+    return AngularFunction("vmf", np.exp, lambda k: 1.0, log_fn=lambda s: s)
 
 
 def _power_deriv0(b: int):
-    def deriv(k: int) -> float:
-        if k % b:
-            return 0.0
-        return float(math.factorial(k) // math.factorial(k // b))
-    return deriv
+    return lambda k: 0.0 if k % b else float(math.factorial(k) // math.factorial(k // b))
 
 
 def power(b: int) -> AngularFunction:
@@ -82,7 +81,8 @@ def power(b: int) -> AngularFunction:
         raise ValueError(f"exponent b must be a positive integer, got {b}")
     b = int(b)
     name = "vmf" if b == 1 else ("watson" if b == 2 else f"power_{b}")
-    return AngularFunction(name, lambda s: np.exp(s**b), _power_deriv0(b))
+    return AngularFunction(name, lambda s: np.exp(s**b), _power_deriv0(b),
+                           log_fn=lambda s: s**b)
 
 
 def watson() -> AngularFunction:
@@ -93,16 +93,14 @@ def watson() -> AngularFunction:
 def cauchy() -> AngularFunction:
     """Profile 1/(1 + 2s); requires kappa < 1/2 for positivity on [-1, 1].
     f^(k)(0) = (-2)^k k!."""
-    return AngularFunction(
-        "cauchy",
-        lambda s: 1.0 / (1.0 + 2.0 * s),
-        lambda k: float((-2) ** k * math.factorial(k)),
-    )
+    return AngularFunction("cauchy", lambda s: 1.0 / (1.0 + 2.0 * s),
+                           lambda k: float((-2) ** k * math.factorial(k)),
+                           log_fn=lambda s: -np.log1p(2.0 * s))
 
 
 def custom(fn, derivs, name: str = "custom") -> AngularFunction:
     """User-supplied profile with explicit derivatives at zero
-    (derivs[k] = f^(k)(0), starting at order 0)."""
+    (derivs[k] = f^(k)(0), starting at order 0); its log is the log of fn."""
     derivs = [float(v) for v in derivs]
     if not derivs or abs(derivs[0] - 1.0) > 1e-12:
         raise ValueError("custom angular functions must satisfy f(0) = 1")
@@ -113,47 +111,112 @@ def custom(fn, derivs, name: str = "custom") -> AngularFunction:
         lambda k: derivs[k], max_order=len(derivs) - 1)
 
 
-def _positivity_probe(kappa: float, f: AngularFunction) -> None:
-    s = np.linspace(-1.0, 1.0, 2049)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = f(kappa * s)
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise ValueError(
-            f"f(kappa*s) must be positive and finite on [-1, 1]; "
-            f"'{f.name}' with kappa={kappa} is not")
+def _cell_masses(logs, width, shift):
+    """Cell masses up to the quarter points, and edge densities, over exp(shift)."""
+    vals = np.exp(logs - shift)
+    return (vals @ _PARTIALS) * width[:, None], vals[:, 0], vals[:, 4]
+
+
+class _InverseCDF:
+    """Inverse CDF of phi = arccos(u'theta) over cells [left, left + width]:
+    the CDF at the edges, a density 1 - tilt + 2 tilt y on each unit cell,
+    and a guide table: the last edge at or below each of 2^k steps in u."""
+
+    def __init__(self, p: int, kappa: float, f: AngularFunction):
+        # positivity probe: f(kappa s) > 0, with a finite log, on [-1, 1]
+        if not np.all(np.isfinite(f.log(kappa * np.linspace(-1.0, 1.0, 2049)))):
+            raise ValueError(f"log f(kappa*s) must be finite on [-1, 1]; "
+                             f"'{f.name}' with kappa={kappa} is not")
+
+        def log_density(phi):
+            out = f.log(kappa * np.cos(phi))
+            if p > 2:
+                with np.errstate(divide="ignore"):  # sin of the distance to the nearer pole
+                    out = out + (p - 2) * np.log(np.sin(np.minimum(phi, math.pi - phi)))
+            return out
+
+        # 32 equal cells graded down to 1e-15 at both poles: a peak there is seen however narrow
+        grade = math.pi / 32 * 0.5 ** np.arange(1, 48)
+        edges = np.unique(np.concatenate([np.linspace(0.0, math.pi, 33), grade, math.pi - grade]))
+        left, width = edges[:-1], np.diff(edges)
+        done, shift, z_done = [], -np.inf, 0.0
+        for _ in range(_TABLE_MAX_LEVELS):
+            logs = log_density(left[:, None] + width[:, None] * _NODES)
+            z_done *= math.exp(shift - max(shift, logs.max())) if z_done else 0.0
+            shift = max(shift, logs.max())
+            partial, fa, fb = _cell_masses(logs, width, shift)
+            x = _NODES[1:]
+            linear = width[:, None] * x * (fa[:, None] + (fb - fa)[:, None] * x / 2.0)
+            err = np.abs(linear - partial).max(axis=1)
+            err /= _TABLE_TOL * (z_done + partial[:, -1].sum())
+            split = err > 1.0
+            done.append((left[~split], width[~split], logs[~split]))
+            z_done += partial[~split, -1].sum()
+            # the error falls as width^3: cut a cell into as many pieces as should meet the bound
+            pieces = np.clip(np.ceil(np.cbrt(err[split])), 2, 64).astype(np.intp)
+            if not split.any() or pieces.sum() > _TABLE_MAX_CELLS:
+                break
+            width = np.repeat(width[split] / pieces, pieces)
+            left = np.repeat(left[split], pieces) + width * (
+                np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+        if split.any():
+            raise ArithmeticError(f"the inverse CDF of u'theta does not converge for "
+                                  f"'{f.name}' at p={p}, kappa={kappa}")
+        left, width, logs = (np.concatenate(parts) for parts in zip(*done))
+        order = np.argsort(left)
+        self.left, self.width, logs = left[order], width[order], logs[order]
+        partial, fa, fb = _cell_masses(logs, self.width, logs.max())
+        mass = np.cumsum(partial[:, -1])
+        self.cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
+        self.inv_mass = 1.0 / np.maximum(np.diff(self.cdf), 1e-300)
+        self.tilt = np.divide(fb - fa, fa + fb, out=np.zeros_like(fa), where=fa + fb > 0.0)
+        steps = 1 << max(10, (4 * left.size - 1).bit_length())
+        self.guide = np.repeat(np.arange(left.size),
+                               np.diff(np.ceil(self.cdf * steps).astype(np.intp)))
+
+    def angles(self, u: np.ndarray) -> np.ndarray:
+        """phi at CDF values u in [0, 1)."""
+        cdf = self.cdf
+        j = self.guide[(u * self.guide.size).astype(np.intp)]
+        j += u >= cdf[j + 1]
+        far = u >= cdf[j + 1]  # steps of u holding several edges: tails, empty cells
+        if far.any():
+            j[far] = np.searchsorted(cdf, u[far], side="right") - 1
+        q, tilt = (u - cdf[j]) * self.inv_mass[j], self.tilt[j]
+        lo = 1.0 - tilt
+        y = 2.0 * q / (lo + np.sqrt(np.maximum(lo * lo + 4.0 * tilt * q, 0.0)) + 1e-300)
+        return self.left[j] + self.width[j] * y
 
 
 @dataclass(frozen=True)
 class RotSymConfig:
-    """Sampling configuration: density proportional to f(kappa * u'theta)."""
+    """Sampling configuration: density proportional to f(kappa * u'theta).
+    kappa > 0 builds the inverse CDF of phi = arccos(u'theta) here, once."""
 
     p: int
     kappa: float
     f: AngularFunction
     theta: np.ndarray = None
     seed: int = 0
+    table: Optional[_InverseCDF] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        theta = self.theta
-        if theta is None:
-            theta = np.zeros(self.p)
-            theta[-1] = 1.0
-        else:
-            theta = np.asarray(theta, dtype=float)
-            if theta.shape != (self.p,):
-                raise ValueError("theta must be a vector in R^p")
-            nrm = np.linalg.norm(theta)
-            if abs(nrm - 1.0) > 1e-9:
-                raise ValueError("theta must be a unit vector")
-            theta = theta / nrm
+        theta = np.asarray(np.eye(1, self.p, self.p - 1)[0] if self.theta is None
+                           else self.theta, dtype=float)
+        if theta.shape != (self.p,):
+            raise ValueError("theta must be a vector in R^p")
+        nrm = np.linalg.norm(theta)
+        if abs(nrm - 1.0) > 1e-9:
+            raise ValueError("theta must be a unit vector")
+        theta = theta / nrm
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         if self.kappa > 0.0:
-            _positivity_probe(self.kappa, self.f)
+            object.__setattr__(self, "table", _InverseCDF(self.p, self.kappa, self.f))
 
 
 @dataclass(frozen=True)
@@ -179,8 +242,7 @@ class SphericalSample:
 def _adaptive_integral(p: int, g) -> float:
     """Quadrature of g(s) * (1-s^2)^((p-3)/2) at order 64, escalating to 128
     and 256 while successive orders disagree by more than 1e-10 relative."""
-    prev = None
-    val = None
+    prev = val = None
     for order in (64, 128, 256):
         rule = gauss_jacobi_rule(p, order)
         vals = np.asarray(g(rule.nodes), dtype=float)
@@ -207,8 +269,7 @@ def normalizing_constant(p: int, kappa: float, f: AngularFunction) -> float:
             raise ValueError("f(kappa*s) must be positive at the quadrature nodes")
         return vals
 
-    total = _adaptive_integral(p, integrand)
-    return 1.0 / total
+    return 1.0 / _adaptive_integral(p, integrand)
 
 
 def t_moment_oracle(p: int, kappa: float, f: AngularFunction, m: int) -> float:
@@ -230,35 +291,6 @@ def gegenbauer_expectation_oracle(p: int, kappa: float, f: AngularFunction,
     return c * _adaptive_integral(p, lambda s: gegenbauer_eval(lam, k, s) * f(kappa * s))
 
 
-def _envelope_max(kappa: float, f: AngularFunction) -> float:
-    """sup of f(kappa*s) over [-1, 1]: grid scan plus golden-section
-    refinement, inflated by a relative 1e-12."""
-    s = np.linspace(-1.0, 1.0, _ENVELOPE_GRID)
-    vals = f(kappa * s)
-    i = int(np.argmax(vals))
-    lo = s[max(i - 1, 0)]
-    hi = s[min(i + 1, _ENVELOPE_GRID - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c_pt = b - inv_phi * (b - a)
-    d_pt = a + inv_phi * (b - a)
-    fc = float(f(kappa * c_pt))
-    fd = float(f(kappa * d_pt))
-    for _ in range(80):
-        if b - a < 1e-13:
-            break
-        if fc > fd:
-            b, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b - inv_phi * (b - a)
-            fc = float(f(kappa * c_pt))
-        else:
-            a, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a + inv_phi * (b - a)
-            fd = float(f(kappa * d_pt))
-    peak = max(float(vals[i]), fc, fd)
-    return peak * _ENVELOPE_INFLATION
-
-
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
     """n independent uniform draws on the sphere in R^p (normalized
     Gaussians), from the counter-based stream (seed, replicate)."""
@@ -270,84 +302,52 @@ def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> Spheric
     return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
 
 
-def _normalized_gaussians(gen, n: int, p: int) -> np.ndarray:
-    z = gen.standard_normal((n, p))
+def _normalized_gaussians(gen, n: int, p: int, theta=None) -> np.ndarray:
+    """n normalized Gaussians in R^p, orthogonal to theta if given (tiny rows redrawn)."""
+    def draw(m):
+        z = gen.standard_normal((m, p))
+        if theta is not None:
+            z -= np.outer(z @ theta, theta)
+        return z
+
+    z = draw(n)
     norms = np.linalg.norm(z, axis=1)
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
-        z[bad] = gen.standard_normal((int(bad.sum()), p))
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
-
-
-def _sample_projection(gen, p: int, kappa: float, f: AngularFunction,
-                       n: int, envelope: float) -> np.ndarray:
-    """Rejection sampler for t = u'theta: proposals 2*Beta((p-1)/2,
-    (p-1)/2) - 1, accepted with probability f(kappa*t)/envelope."""
-    a = (p - 1) / 2.0
-    out = np.empty(n)
-    filled = 0
-    proposals = 0
-    accepted = 0
-    while filled < n:
-        m = min(max(4096, 3 * (n - filled)), 8_000_000)
-        t = 2.0 * gen.beta(a, a, size=m) - 1.0
-        u = gen.random(m)
-        keep = t[u * envelope < f(kappa * t)]
-        take = min(keep.size, n - filled)
-        out[filled:filled + take] = keep[:take]
-        filled += take
-        proposals += m
-        accepted += keep.size
-        if proposals >= 2_000_000 and accepted < _MIN_ACCEPT_RATE * proposals:
-            raise ArithmeticError(
-                "rejection acceptance rate below 1e-6; the concentration is "
-                "too extreme for the tangent-normal sampler")
-    return out
-
-
-def _tangent_directions(gen, theta: np.ndarray, n: int) -> np.ndarray:
-    """Uniform draws on the subsphere orthogonal to theta."""
-    p = theta.size
-    if p == 2:
-        perp = np.array([-theta[1], theta[0]])
-        signs = 2.0 * gen.integers(0, 2, size=n) - 1.0
-        return signs[:, None] * perp[None, :]
-    z = gen.standard_normal((n, p))
-    z -= np.outer(z @ theta, theta)
-    norms = np.linalg.norm(z, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        fresh = gen.standard_normal((int(bad.sum()), p))
-        fresh -= np.outer(fresh @ theta, theta)
-        z[bad] = fresh
+        z[bad] = draw(int(bad.sum()))
         norms = np.linalg.norm(z, axis=1)
     return z / norms[:, None]
 
 
 def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> SphericalSample:
-    """n draws from the density proportional to f(kappa * u'theta).
-
-    Deterministic in (config, n, replicate); kappa = 0 reduces to the
-    uniform law.
-    """
+    """n draws from the density proportional to f(kappa * u'theta),
+    deterministic in (config, n, replicate).  The tangent direction is a
+    sign at p = 2, one uniform angle at p = 3, else a projected Gaussian."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.stream(config.seed, replicate)
+    p, theta = config.p, config.theta
     if config.kappa == 0.0:
-        return SphericalSample(config.p, n, _normalized_gaussians(gen, n, config.p))
-    envelope = _envelope_max(config.kappa, config.f)
-    t = _sample_projection(gen, config.p, config.kappa, config.f, n, envelope)
-    xi = _tangent_directions(gen, config.theta, n)
-    pts = t[:, None] * config.theta[None, :] + np.sqrt(1.0 - t**2)[:, None] * xi
-    return SphericalSample(config.p, n, pts)
+        return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
+    phi = config.table.angles(gen.random(n))
+    t, s = np.cos(phi), np.sin(phi)
+    if p == 3:
+        e1 = np.cross(theta, np.eye(3)[np.argmin(np.abs(theta))])
+        e1 /= np.linalg.norm(e1)
+        w = 2.0 * math.pi * gen.random(n)
+        return SphericalSample(p, n, np.column_stack([t, s * np.cos(w), s * np.sin(w)])
+                               @ np.array([theta, e1, np.cross(theta, e1)]))
+    if p == 2:
+        xi = (2.0 * gen.integers(0, 2, size=n) - 1.0)[:, None] * [-theta[1], theta[0]]
+    else:
+        xi = _normalized_gaussians(gen, n, p, theta)
+    return SphericalSample(p, n, t[:, None] * theta + s[:, None] * xi)
 
 
 def save_csv(sample: SphericalSample, path) -> None:
     """Write the sample with header x1,...,xp at full double precision."""
     header = ",".join(f"x{i + 1}" for i in range(sample.p))
-    np.savetxt(path, sample.points, delimiter=",", header=header,
-               comments="", fmt="%.17g")
+    np.savetxt(path, sample.points, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def load_csv(path) -> SphericalSample:

@@ -4,7 +4,8 @@
 `tests/golden/` byte for byte, at parallelism 1 and at parallelism 2.
 The three configs cover the README experiment at reduced M for a vMF and
 a Watson alternative, and a p = 20 multi-term config whose tests mix
-degrees 1-3.
+degrees 1-3.  Version 2 (the inverse-CDF sampler) added tau = 14 to the
+p = 20 config.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -31,7 +32,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 1
+FIXTURE_STREAM_VERSION = 2
 
 _README_GRID = dict(
     p=3,
@@ -47,9 +48,11 @@ _README_GRID = dict(
 CONFIGS = {
     "readme_vmf_m8": ExperimentConfig(f_id="vmf", **_README_GRID),
     "readme_watson_m8": ExperimentConfig(f_id="watson", **_README_GRID),
+    # tau = 14 sits where the 3-test's asymptotic power is 0.57, so its
+    # decisions are pinned by rejections too, not only by acceptances
     "p20_vmf_multi_m8": ExperimentConfig(
         p=20, f_id="vmf", tests=("3-test", "1,0.5,0.25"), n_list=(500,),
-        rate_exponents=(6,), tau_grid=(0.0, 3.0, 6.0), replicates=8),
+        rate_exponents=(6,), tau_grid=(0.0, 3.0, 6.0, 14.0), replicates=8),
 }
 
 
