@@ -14,8 +14,6 @@ from .asymptotics import (
     expansion_coeffs,
     gegenbauer_expectation_coeffs,
     limit_law,
-    noncentral_chi2_cdf,
-    noncentral_chi2_sf,
     noncentrality_delayed,
     noncentrality_standard,
     power_curve,
@@ -93,8 +91,6 @@ __all__ = [
     "harmonic_dim",
     "limit_law",
     "load_csv",
-    "noncentral_chi2_cdf",
-    "noncentral_chi2_sf",
     "noncentrality_delayed",
     "noncentrality_standard",
     "null_moment",

@@ -255,6 +255,21 @@ def _adaptive_integral(p: int, g) -> float:
     return val
 
 
+def _scaled_profile(kappa: float, f: AngularFunction):
+    """s |-> f(kappa s) / F, evaluated in log space, and log F, the largest
+    log f(kappa s) on a grid of [-1, 1]: nothing overflows, and ratios of
+    integrals of the profile do not depend on F."""
+    shift = float(np.max(f.log(kappa * np.linspace(-1.0, 1.0, 257))))
+
+    def profile(s):
+        logs = f.log(kappa * s)
+        if np.any(np.isnan(logs) | (logs == -np.inf)):
+            raise ValueError("f(kappa*s) must be positive at the quadrature nodes")
+        return np.exp(logs - shift)
+
+    return profile, shift
+
+
 def normalizing_constant(p: int, kappa: float, f: AngularFunction) -> float:
     """1 / integral of f(kappa*s) (1-s^2)^((p-3)/2) over (-1, 1); equals
     surface_constant(p) at kappa = 0."""
@@ -262,22 +277,16 @@ def normalizing_constant(p: int, kappa: float, f: AngularFunction) -> float:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     if kappa == 0.0:
         return surface_constant(p)
-
-    def integrand(s):
-        vals = f(kappa * s)
-        if np.any(vals <= 0.0):
-            raise ValueError("f(kappa*s) must be positive at the quadrature nodes")
-        return vals
-
-    return 1.0 / _adaptive_integral(p, integrand)
+    profile, shift = _scaled_profile(kappa, f)
+    return math.exp(-shift) / _adaptive_integral(p, profile)
 
 
 def t_moment_oracle(p: int, kappa: float, f: AngularFunction, m: int) -> float:
     """Exact-quadrature moment E[(u'theta)^m] of the tangent projection."""
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
-    c = normalizing_constant(p, kappa, f)
-    return c * _adaptive_integral(p, lambda s: s**m * f(kappa * s))
+    profile, _ = _scaled_profile(kappa, f)
+    return _adaptive_integral(p, lambda s: s**m * profile(s)) / _adaptive_integral(p, profile)
 
 
 def gegenbauer_expectation_oracle(p: int, kappa: float, f: AngularFunction,
@@ -287,8 +296,9 @@ def gegenbauer_expectation_oracle(p: int, kappa: float, f: AngularFunction,
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
     lam = 0.0 if p == 2 else (p - 2) / 2.0
-    c = normalizing_constant(p, kappa, f)
-    return c * _adaptive_integral(p, lambda s: gegenbauer_eval(lam, k, s) * f(kappa * s))
+    profile, _ = _scaled_profile(kappa, f)
+    return (_adaptive_integral(p, lambda s: gegenbauer_eval(lam, k, s) * profile(s))
+            / _adaptive_integral(p, profile))
 
 
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:

@@ -22,7 +22,6 @@ from sobotest.asymptotics import (
     classify_threshold,
     expansion_coeffs,
     expansion_system,
-    noncentral_chi2_sf,
     noncentrality_delayed,
     noncentrality_standard,
 )
@@ -38,6 +37,8 @@ from sobotest.sobolev import (
     stat_kernel,
 )
 from sobotest import specfun
+
+from oracles.chi2_series_oracle import noncentral_chi2_sf
 
 M = 2000
 SEED = 0

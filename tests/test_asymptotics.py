@@ -1,28 +1,32 @@
+import csv
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import sobotest
 from sobotest.asymptotics import (
     AsymptoticPower,
     MixtureLaw,
     ThresholdReport,
-    _Inversion,
     asymptotic_power,
     classify_threshold,
     expansion_coeffs,
     expansion_system,
     gegenbauer_expectation_coeffs,
     limit_law,
-    noncentral_chi2_cdf,
-    noncentral_chi2_sf,
     noncentrality_delayed,
     noncentrality_standard,
     power_curve,
     power_curve_csv,
 )
+from sobotest.harness import parse_weights
 from sobotest.rotsym import (
     cauchy,
     gegenbauer_expectation_oracle,
@@ -33,6 +37,8 @@ from sobotest.rotsym import (
 )
 from sobotest.sobolev import WeightSequence
 from sobotest.specfun import harmonic_dim, t_factor
+
+from oracles.chi2_series_oracle import noncentral_chi2_cdf, noncentral_chi2_sf, series_bound
 
 BUILTINS = {
     "vmf": vmf(),
@@ -419,6 +425,13 @@ def test_limit_law_infinite_weights():
     assert len(null.terms) == 12
     value, se = null.quantile(0.05)
     assert se <= 1e-9
+    level, level_se = null.tail(value)
+    assert abs(level - 0.05) <= se + level_se
+    # frozen from a 30-digit mpmath Imhof integral of the twelve terms
+    for x, ref in ((0.5, 0.92917328275507158352), (1.0, 0.55940964883075780609),
+                   (2.5, 0.047274483519630210658)):
+        tail, tail_se = null.tail(x)
+        assert abs(tail - ref) <= tail_se, (x, tail, ref, tail_se)
     sample = null.sample(seed=0)
     beyond = np.count_nonzero(sample > value) / sample.size
     assert abs(beyond - 0.05) <= 5.0 * math.sqrt(0.05 * 0.95 / sample.size)
@@ -476,12 +489,16 @@ def test_single_term_quantile_is_deterministic_series_value():
     value, se = law.quantile(0.05)
     assert value == pytest.approx(stats.chi2.ppf(0.95, 3), rel=1e-10)
     assert value == pytest.approx(7.814727903251179, rel=1e-10)
-    # the series' truncation bound: nothing is left out of a central term
-    assert se == 0.0
+    # the contour's error bound
+    assert 0.0 <= se <= 1e-12
     noncentral = MixtureLaw(3, [(2.0, 5, 3.7)])
     value, se = noncentral.quantile(0.1)
     assert value == pytest.approx(2.0 * stats.ncx2.ppf(0.9, 5, 3.7), rel=1e-8)
     assert 0.0 <= se <= 1e-12
+    # far below the resolution of a CDF near 1
+    value, se = law.quantile(1e-20)
+    assert abs(stats.chi2.sf(value, 3) - 1e-20) <= se
+    assert value == pytest.approx(stats.chi2.isf(1e-20, 3), rel=1e-12)
 
 
 def test_single_term_tail_series_value():
@@ -490,20 +507,31 @@ def test_single_term_tail_series_value():
     assert value == pytest.approx(stats.ncx2.sf(7.814727903251179, 3, 3.0), rel=1e-9)
     # frozen from a direct Poisson-mixture sum over central tails
     assert value == pytest.approx(0.2746396149, rel=1e-8)
-    # the Poisson mass left outside the summed window
+    # the contour's error bound
     assert 0.0 <= se <= 1e-12
+    # deep in a noncentral tail, where the mode-centred Poisson window
+    # misses the terms that carry the mass
+    law = MixtureLaw(3, [(1.0, 5, 30.0)])
+    value, se = law.tail(500.0)
+    assert abs(value - stats.ncx2.sf(500.0, 5, 30.0)) <= se
+    assert value == pytest.approx(stats.ncx2.sf(500.0, 5, 30.0), rel=1e-11, abs=0.0)
 
 
 def test_series_bound_covers_rounding_at_large_noncentrality():
+    # the contour's bound covers its distance from scipy on both sides of
+    # the mean, where rounding in the exponent grows with the noncentrality
     for nc in (10.0, 500.0, 9495.0, 3.8e4, 2e5, 7.8e5, 2e6, 5e6):
         for df in (3, 5, 54):
-            se = MixtureLaw(3, [(1.0, df, nc)]).tail(nc)[1]
-            x = nc + df + np.array([-2.0, 0.0, 2.0]) * math.sqrt(2.0 * (df + 2.0 * nc))
-            cdf_err = np.abs(noncentral_chi2_cdf(x, df, nc) - stats.ncx2.cdf(x, df, nc))
-            sf_err = np.abs(noncentral_chi2_sf(x, df, nc) - stats.ncx2.sf(x, df, nc))
-            assert cdf_err.max() <= se + 1e-15, (nc, df, cdf_err.max(), se)
-            assert sf_err.max() <= se + 1e-15, (nc, df, sf_err.max(), se)
-    assert MixtureLaw(3, [(1.0, 5, 0.0)]).tail(4.0)[1] == 0.0
+            law = MixtureLaw(3, [(1.0, df, nc)])
+            for x in nc + df + np.array([-2.0, 0.0, 2.0]) * math.sqrt(2.0 * (df + 2.0 * nc)):
+                value, se = law.tail(x)
+                cdf_err = abs((1.0 - value) - stats.ncx2.cdf(x, df, nc))
+                sf_err = abs(value - stats.ncx2.sf(x, df, nc))
+                assert cdf_err <= se + 1e-15, (nc, df, x, cdf_err, se)
+                assert sf_err <= se + 1e-15, (nc, df, x, sf_err, se)
+                if x >= nc + df:
+                    assert sf_err <= 1e-11 * stats.ncx2.sf(x, df, nc), (nc, df, x, sf_err)
+    assert 0.0 <= MixtureLaw(3, [(1.0, 5, 0.0)]).tail(4.0)[1] <= 1e-12
 
 
 def test_single_term_law_draws_nothing(monkeypatch):
@@ -530,7 +558,7 @@ def test_single_term_tail_at_other_law_seeds():
     law = limit_law(BINGHAM, 3)
     value, se = law.tail(14.32)
     assert value == pytest.approx(stats.chi2.sf(14.32, 5), rel=1e-10)
-    assert se == 0.0
+    assert 0.0 <= se <= 1e-12
     sample = law.sample(seed=5)
     beyond = np.count_nonzero(sample > 14.32) / sample.size
     assert abs(beyond - value) <= 5.0 * math.sqrt(value * (1.0 - value) / sample.size)
@@ -593,30 +621,93 @@ def test_two_term_mixture_against_collapsed_chi_square():
         ([(1.0, 3, 0.0), (1.0, 5, 0.0)], stats.chi2(8)),
         # 0.5 chi2(3, 2) + 0.5 chi2(5, 1) = 0.5 chi2(8, 3)
         ([(0.5, 3, 2.0), (0.5, 5, 1.0)], stats.ncx2(8, 3.0, scale=0.5)),
-        # p = 2, where |phi| decays only like t^-2: chi2_2 + chi2_2 = chi2_4
+        # p = 2: chi2_2 + chi2_2 = chi2_4
         ([(1.0, 2, 0.0), (1.0, 2, 0.0)], stats.chi2(4)),
+        # one degree of freedom, where the branch point is nearest the
+        # contour: 2 chi2_1 + 2 chi2_1 = 2 chi2_2
+        ([(2.0, 1, 0.0), (2.0, 1, 0.0)], stats.chi2(2, scale=2.0)),
     ]
     for terms, exact in cases:
         law = MixtureLaw(3, terms)
-        for alpha in (0.01, 0.05, 0.5):
+        for alpha in (0.01, 0.05, 0.5, 0.9):
             value, se = law.quantile(alpha)
             level = exact.sf(value)
             assert abs(level - alpha) <= min(se, 1e-9), (terms, alpha, level, se)
-        for x in (0.2, 1.0, 4.0, 7.5, 15.5, 30.0):
+        for x in (-1.0, 0.0, 0.2, 1.0, 4.0, 7.5, 15.5, 30.0, 60.0, 150.0):
             tail, se = law.tail(x)
             ref = exact.sf(x)
             assert abs(tail - ref) <= min(se, 1e-9), (terms, x, tail, ref, se)
+            # relative accuracy above the mean
+            if x >= exact.mean():
+                assert abs(tail - ref) <= 1e-11 * ref, (terms, x, tail, ref)
+
+
+def test_multi_term_deep_tails_against_a_convolution():
+    # chi2_3 + 0.25 chi2_5 by a 50-digit mpmath convolution, with relative
+    # accuracy where an absolute bound of 1e-12 says nothing
+    law = MixtureLaw(3, [(1.0, 3, 0.0), (0.25, 5, 0.0)])
+    for x, ref in ((60.0, 1.190300076712181e-12), (100.0, 3.164158476626641e-21),
+                   (200.0, 8.623994182577256e-43)):
+        value, se = law.tail(x)
+        assert abs(value - ref) <= se, (x, value, ref, se)
+        assert value == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_p2_law_against_its_closed_form():
+    # w chi2_2 is exponential with rate l = 1 / (2 w), and a sum of
+    # exponentials with distinct rates has the upper tail
+    # sum_k prod_{j != k} l_j / (l_j - l_k) exp(-l_k x)
+    weights = (1.0, 0.25, 0.0625)
+    law = MixtureLaw(2, [(w, 2, 0.0) for w in weights])
+    rates = [0.5 / w for w in weights]
+    for x in (10.0, 50.0, 1000.0):
+        ref = math.fsum(
+            math.prod(lj / (lj - lk) for j, lj in enumerate(rates) if j != k) * math.exp(-lk * x)
+            for k, lk in enumerate(rates))
+        value, se = law.tail(x)
+        assert abs(value - ref) <= se, (x, value, ref, se)
+        assert value == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_law_table_gate():
+    """Critical values at alpha = 0.05 of the named tests and two weight
+    lists at p = 2, 3 and 10, frozen from the previous evaluators (Poisson
+    series for one term, characteristic-function inversion for more).
+    `se` is the bound those returned; `root_tol` the level change across
+    their root finder's tolerance (1e-12 of its bracket), which `se` left
+    out."""
+    with open(Path(__file__).parent / "golden" / "law_table.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 15
+    for row in rows:
+        law = limit_law(parse_weights(row["test"]), int(row["p"]))
+        alpha, stored = float(row["alpha"]), float(row["critical_value"])
+        assert law.quantile(alpha)[0] == pytest.approx(stored, rel=1e-10), row
+        level, se = law.tail(stored)
+        assert abs(level - alpha) <= float(row["se"]) + float(row["root_tol"]) + se, (row, level)
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    code = ("import sys, sobotest; "
+            "print(*[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    src = str(Path(sobotest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == ""
 
 
 def test_inversion_matches_series_on_single_terms():
+    # the contour against the Poisson-series oracle and its truncation bound
     for terms in ([(1.0, 5, 0.0)], [(2.0, 10, 30.0)], [(0.7, 54, 4.0)]):
         law = MixtureLaw(3, terms)
+        (weight, df, nc), = terms
         for alpha in (0.9, 0.5, 0.05, 1e-4):
             x = law.quantile(alpha)[0]
-            series, series_se = law.tail(x)
-            inverted, inverted_se = _Inversion(law.terms).tail(x)
-            assert abs(inverted - series) <= inverted_se + series_se, (terms, alpha)
-            assert abs(inverted - series) <= 1e-11
+            value, se = law.tail(x)
+            series = noncentral_chi2_sf(x / weight, df, nc)
+            assert abs(value - series) <= se + series_bound(nc), (terms, alpha)
+            assert abs(value - series) <= 1e-11
 
 
 def test_multi_term_results_do_not_depend_on_call_history():
@@ -640,7 +731,7 @@ def test_three_term_power_curve_against_power_3():
     powers = [row.power for row in rows]
     assert len(rows) == 5 and not any(row.trivial for row in rows)
     assert powers[0] == pytest.approx(0.05, abs=1e-9)
-    # monotone within the inversion's error bound
+    # monotone within the evaluator's error bound
     assert all(b.power >= a.power - a.se - b.se for a, b in zip(rows, rows[1:]))
     assert powers[-1] == pytest.approx(1.0, abs=1e-9)
 

@@ -89,6 +89,19 @@ def test_test_alpha_and_weights(tmp_path, capsys):
     assert record["reject"] in ("true", "false")
 
 
+def test_multi_term_p_value_in_the_deep_tail(tmp_path, capsys):
+    # the p = 2 law of 1,0.5,0.25 is a sum of exponentials, whose closed-form
+    # tail at this statistic is 8.848314643532757e-63
+    sample = tmp_path / "c.csv"
+    code, _, _ = run(capsys, "simulate", "--p", "2", "--n", "500", "--kappa", "0.4",
+                     "--f", "cauchy", "--seed", "0", "--out", str(sample))
+    assert code == 0
+    code, out, _ = run(capsys, "test", str(sample), "--weights", "1,0.5,0.25")
+    assert code == 0
+    record = dict(ln.split("=", 1) for ln in out.splitlines())
+    assert float(record["p_value"]) == pytest.approx(8.848314643532757e-63, rel=1e-10, abs=0.0)
+
+
 # ------------------------------------------------- power-curve, asymptotic
 
 def test_power_curve_from_config(tmp_path, capsys):

@@ -92,6 +92,18 @@ def test_t_moment_oracle_values():
     assert rotsym.t_moment_oracle(5, 0.0, rotsym.vmf(), 3) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_quadrature_oracles_at_large_kappa():
+    # f(kappa s) = exp(kappa s) overflows past kappa = 709; vMF at p = 3 has
+    # E[t] = coth(kappa) - 1 / kappa, and C_1(t) = t there
+    for kappa in (100.0, 800.0, 2000.0):
+        ref = 1.0 / math.tanh(kappa) - 1.0 / kappa
+        assert rotsym.t_moment_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(ref, rel=1e-12)
+        assert rotsym.gegenbauer_expectation_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(
+            ref, rel=1e-12)
+    # the constant itself, kappa / (2 sinh kappa), is below the smallest double
+    assert rotsym.normalizing_constant(3, 800.0, rotsym.vmf()) == 0.0
+
+
 def test_cauchy_domain():
     with pytest.raises(ValueError):
         rotsym.RotSymConfig(p=3, kappa=0.5, f=rotsym.cauchy())
