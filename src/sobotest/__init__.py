@@ -9,7 +9,6 @@ from .asymptotics import (
     AsymptoticPower,
     MixtureLaw,
     ThresholdReport,
-    asymptotic_power,
     classify_threshold,
     expansion_coeffs,
     gegenbauer_expectation_coeffs,
@@ -59,7 +58,7 @@ from .specfun import (
     surface_constant,
     t_factor,
 )
-from .svgplot import SvgLayout, emit_svg
+from .svgplot import emit_svg
 
 __version__ = "0.1.0"
 
@@ -72,13 +71,11 @@ __all__ = [
     "PowerTable",
     "RotSymConfig",
     "SphericalSample",
-    "SvgLayout",
     "TestResult",
     "ThresholdReport",
     "WeightSequence",
     "addition_kernel",
     "angular_function",
-    "asymptotic_power",
     "basis_matrix",
     "cauchy",
     "classify_threshold",

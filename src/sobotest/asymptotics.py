@@ -24,6 +24,7 @@ from .rotsym import AngularFunction
 from .sobolev import WeightSequence
 from .specfun import (
     _gegen_poly_exact,
+    _null_moment_exact,
     harmonic_dim,
     monomial_to_gegenbauer,
     null_moment,
@@ -42,7 +43,6 @@ __all__ = [
     "MixtureLaw",
     "limit_law",
     "AsymptoticPower",
-    "asymptotic_power",
     "power_curve",
     "power_curve_csv",
 ]
@@ -57,15 +57,6 @@ _CLEARANCE = 1.5       # least distance, in sigma, of the contour's apex from th
 _SPAN = 16.0           # u-length of one block of nodes
 _MAX_STEPS = 60        # iterations of a Newton search, blocks of a contour
 _DUAL_FORM_RTOL = 1e-10
-
-
-def _null_moment_exact(p: int, m: int) -> Fraction:
-    if m % 2:
-        return Fraction(0)
-    out = Fraction(1)
-    for r in range(m // 2):
-        out *= Fraction(1 + 2 * r, p + 2 * r)
-    return out
 
 
 @dataclass(frozen=True)
@@ -243,26 +234,6 @@ class ThresholdReport:
         if self.k_star is None:
             return "none"
         return f"n^(-1/{2 * self.k_star})"
-
-    def to_record(self) -> str:
-        def fmt(x):
-            return "none" if x is None else str(x)
-
-        lines = [
-            f"case={self.case}",
-            f"k_v={self.k_v}",
-            f"q={self.q}",
-            f"k_star={fmt(self.k_star)}",
-            f"k_dagger={fmt(self.k_dagger)}",
-            f"rate={self.rate_string()}",
-            f"rate_exponent={'none' if self.rate_exponent is None else format(self.rate_exponent, '.12g')}",
-            f"blind_up_to_order={fmt(self.blind_up_to_order)}",
-        ]
-        if self.case == "blind":
-            lines.append(
-                f"note=trivial power against kappa_n = tau n^(-1/{2 * self.q})"
-                " and all slower polynomial rates")
-        return "\n".join(lines) + "\n"
 
 
 def classify_threshold(weights: WeightSequence, f: AngularFunction,
@@ -490,13 +461,6 @@ class MixtureLaw:
             c += step
         raise ArithmeticError(f"no upper-{alpha} point found")
 
-    def to_record(self) -> str:
-        lines = [f"p={self.p}", f"n_terms={len(self.terms)}",
-                 f"tail_bound={self.tail_bound:.12g}"]
-        for i, (weight, df, nc) in enumerate(self.terms, start=1):
-            lines.append(f"term{i}={weight:.12g},{df},{nc:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 def limit_law(weights: WeightSequence, p: int,
               f: Optional[AngularFunction] = None,
@@ -552,17 +516,12 @@ class AsymptoticPower:
     tail_bound: float = 0.0
 
 
-def asymptotic_power(weights: WeightSequence, p: int, f: AngularFunction,
-                     tau: float, alpha: float, q: int = 12) -> AsymptoticPower:
-    """P[noncentral mixture > null upper-alpha point] at the threshold
-    rate of the (weights, f) pair, with the law's error bound as `se`;
-    exactly alpha with the trivial flag when the classification is blind."""
-    return power_curve(weights, p, f, [tau], alpha, q=q)[0]
-
-
 def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
                 alpha: float, q: int = 12) -> list:
-    """asymptotic_power over a tau grid, reusing one null critical value."""
+    """P[noncentral mixture > null upper-alpha point] at the threshold rate
+    of the (weights, f) pair, at each tau of a grid, with the law's error
+    bound as `se`; exactly alpha with the trivial flag when the
+    classification is blind.  One null critical value serves the grid."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     report = classify_threshold(weights, f, q)

@@ -22,7 +22,7 @@ from .harness import (
 )
 from .rotsym import RotSymConfig, load_csv, sample_rotsym, save_csv
 from .sobolev import run_test
-from .svgplot import SvgLayout, emit_svg
+from .svgplot import emit_svg
 
 _F_CHOICES = ("vmf", "watson", "power", "cauchy")
 
@@ -139,7 +139,7 @@ def _cmd_classify(args) -> int:
 def _cmd_plot(args) -> int:
     with open(args.table, "r", encoding="utf-8") as fh:
         table = PowerTable.from_csv(fh.read())
-    svg = emit_svg(table, SvgLayout(alpha=args.alpha))
+    svg = emit_svg(table, alpha=args.alpha)
     _write_out(args.out, svg)
     return 0
 

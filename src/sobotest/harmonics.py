@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rotsym import _NORM_TOL
-from .specfun import gegenbauer_eval, harmonic_dim
+from .specfun import _gegen_sweep, _kernel_factor, gegenbauer_eval, harmonic_dim
 
 __all__ = [
     "basis_matrix",
@@ -129,18 +129,6 @@ def _trig_multiples(cos1: np.ndarray, sin1: np.ndarray, top: int):
     return cosm, sinm
 
 
-def _gegen_all_degrees(lam: float, top: int, t: np.ndarray) -> np.ndarray:
-    """All C_q^lam(t) for q = 0..top in one recurrence sweep (lam > 0)."""
-    out = np.empty((top + 1, t.size))
-    out[0] = 1.0
-    if top >= 1:
-        out[1] = 2.0 * lam * t
-        for q in range(2, top + 1):
-            out[q] = (2.0 * (q - 1 + lam) * t * out[q - 1]
-                      - (q - 2 + 2.0 * lam) * out[q - 2]) / q
-    return out
-
-
 def basis_matrix(p: int, k: int, X) -> np.ndarray:
     """Evaluate the degree-k orthonormal basis at each row of X; returns an
     (n, d_{p,k}) array whose columns follow the multi-index order of
@@ -171,7 +159,7 @@ def basis_matrix(p: int, k: int, X) -> np.ndarray:
         for j, (deg, lam) in enumerate(zip(e.degrees, e.lams)):
             key = (j, lam)
             needed[key] = max(needed.get(key, 0), deg)
-    gegen = {key: _gegen_all_degrees(key[1], top, cos_lv[key[0]])
+    gegen = {key: list(_gegen_sweep(key[1], top, cos_lv[key[0]]))
              for key, top in needed.items()}
 
     sin_pows = [{} for _ in range(p - 2)]
@@ -205,6 +193,4 @@ def addition_kernel(p: int, k: int, s):
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else 1.0
-    if p == 2:
-        return 2.0 * gegenbauer_eval(0.0, k, s)
-    return (1.0 + 2.0 * k / (p - 2)) * gegenbauer_eval((p - 2) / 2.0, k, s)
+    return _kernel_factor(p, k) * gegenbauer_eval(0.0 if p == 2 else (p - 2) / 2.0, k, s)

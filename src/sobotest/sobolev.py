@@ -20,7 +20,7 @@ import numpy as np
 
 from .harmonics import basis_matrix
 from .rotsym import SphericalSample
-from .specfun import _gegen_poly_exact, harmonic_dim
+from .specfun import _gegen_poly_exact, _gegen_sweep, _kernel_factor, harmonic_dim
 
 __all__ = [
     "WeightSequence",
@@ -121,17 +121,16 @@ class WeightSequence:
     def support_through(self, k_max: int) -> list:
         return [k for k in range(1, k_max + 1) if self.weight(k) != 0.0]
 
-    def truncation(self, p: int, rel_tol: float = _TRUNC_REL_TOL) -> TruncationInfo:
-        """Choose k_trunc so the neglected mass is below rel_tol of the
-        total; geometric tail bound from block ratios.  Raises if the mass
-        does not decay."""
+    def truncation(self, p: int) -> TruncationInfo:
+        """Choose k_trunc so the neglected mass is below 1e-6 of the total;
+        geometric tail bound from block ratios.  Raises if the mass does
+        not decay."""
         if self._values is not None:
             total = sum(self.weight(k) ** 2 * harmonic_dim(p, k)
                         for k in range(1, len(self._values) + 1))
             return TruncationInfo(self.K_v, 0.0, total)
-        key = (p, rel_tol)
-        if key in self._trunc_cache:
-            return self._trunc_cache[key]
+        if p in self._trunc_cache:
+            return self._trunc_cache[p]
         block = 4
         blocks = []
         total = 0.0
@@ -144,9 +143,9 @@ class WeightSequence:
                 r = blocks[-1] / blocks[-2]
                 if r < 0.9:
                     tail = blocks[-1] * r / (1.0 - r)
-                    if tail < rel_tol * total:
+                    if tail < _TRUNC_REL_TOL * total:
                         info = TruncationInfo(start + block - 1, tail, total)
-                        self._trunc_cache[key] = info
+                        self._trunc_cache[p] = info
                         return info
         raise ValueError(
             "weight sequence mass v_k^2 d_{p,k} does not decay fast enough "
@@ -167,22 +166,12 @@ class WeightSequence:
 def _kernel_weighted_sum(p: int, pairs, s: np.ndarray) -> np.ndarray:
     """sum_k v_k^2 h_{p,k}(s) evaluated in one recurrence sweep; pairs is a
     list of (k, v_k^2) with k >= 1."""
-    lam = 0.0 if p == 2 else (p - 2) / 2.0
-    top = max(k for k, _ in pairs)
     want = dict(pairs)
     acc = np.zeros_like(s)
-    prev = np.ones_like(s)
-    cur = s.copy() if p == 2 else 2.0 * lam * s
-    for k in range(1, top + 1):
-        if k >= 2:
-            if p == 2:
-                nxt = 2.0 * s * cur - prev
-            else:
-                nxt = (2.0 * (k - 1 + lam) * s * cur - (k - 2 + 2.0 * lam) * prev) / k
-            prev, cur = cur, nxt
+    lam = 0.0 if p == 2 else (p - 2) / 2.0
+    for k, gegen in enumerate(_gegen_sweep(lam, max(want), s)):
         if k in want:
-            factor = 2.0 if p == 2 else 1.0 + 2.0 * k / (p - 2)
-            acc += want[k] * factor * cur
+            acc += want[k] * _kernel_factor(p, k) * gegen
     return acc
 
 
@@ -206,7 +195,7 @@ def _kernel_monomials(p: int, k: int) -> tuple:
     """Coefficients a_{k,m}, m = 0..k, of h_{p,k}(s) = sum_m a_{k,m} s^m:
     the exact Gegenbauer (Chebyshev for p = 2) coefficients times the
     kernel factor, rounded once."""
-    factor = Fraction(2) if p == 2 else 1 + Fraction(2 * k, p - 2)
+    factor = _kernel_factor(p, k, Fraction(1))
     return tuple(float(factor * c) for c in _gegen_poly_exact(Fraction(p - 2, 2), k))
 
 
@@ -338,29 +327,6 @@ class TestResult:
             f"p_value_se={self.p_value_se:.12g}",
         ]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_record(cls, text: str) -> "TestResult":
-        kv = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition("=")
-            if not _:
-                raise ValueError(f"malformed record line: {line!r}")
-            kv[key.strip()] = value.strip()
-        try:
-            return cls(
-                test=kv["test"],
-                p=int(kv["p"]),
-                n=int(kv["n"]),
-                statistic=float(kv["statistic"]),
-                critical_value=float(kv["critical_value"]),
-                alpha=float(kv["alpha"]),
-                reject=kv["reject"] == "true",
-                p_value=float(kv["p_value"]),
-                p_value_se=float(kv["p_value_se"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"record is missing field {exc}") from exc
 
 
 def run_test(sample: SphericalSample, weights: WeightSequence, alpha: float,

@@ -19,8 +19,6 @@ __all__ = [
     "null_moment",
     "surface_constant",
     "gegenbauer_eval",
-    "gegenbauer_coeffs",
-    "GegenCoeffTable",
     "monomial_to_gegenbauer",
     "gauss_jacobi_rule",
     "QuadratureRule",
@@ -59,8 +57,16 @@ def t_factor(p: int, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if p == 2:
-        return math.sqrt(2.0)
-    return (1.0 + 2.0 * k / (p - 2)) / math.sqrt(harmonic_dim(p, k))
+        return math.sqrt(2.0)  # 2 / sqrt(d_{2,k}), rounded once
+    return _kernel_factor(p, k) / math.sqrt(harmonic_dim(p, k))
+
+
+def _kernel_factor(p: int, k: int, one=1.0):
+    """h_{p,k}(s) / C_k(s), the degree-k addition kernel over its Gegenbauer
+    polynomial: 2 at p = 2, where C_k is the Chebyshev polynomial with
+    C_k(1) = 1, else 1 + 2k/(p-2).  In the arithmetic of `one`, a float or
+    a Fraction."""
+    return 2 * one if p == 2 else one + 2 * k * one / (p - 2)
 
 
 def null_moment(p: int, m: int) -> float:
@@ -72,14 +78,18 @@ def null_moment(p: int, m: int) -> float:
         raise ValueError(f"p must be >= 2, got {p}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m % 2 == 1:
-        return 0.0
-    num = 1
-    den = 1
+    return float(_null_moment_exact(p, m))
+
+
+def _null_moment_exact(p: int, m: int) -> Fraction:
+    """null_moment as an exact rational."""
+    if m % 2:
+        return Fraction(0)
+    num = den = 1
     for r in range(m // 2):
         num *= 1 + 2 * r
         den *= p + 2 * r
-    return num / den
+    return Fraction(num, den)
 
 
 def surface_constant(p: int) -> float:
@@ -111,41 +121,27 @@ def gegenbauer_eval(lam: float, q: int, t):
         raise ValueError(f"lam must be >= 0, got {lam}")
     t = _clamp_argument(t)
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-
-    prev = np.ones_like(t)
-    if q == 0:
-        out = prev
-    else:
-        cur = t.copy() if lam == 0.0 else 2.0 * lam * t
-        for j in range(2, q + 1):
-            if lam == 0.0:
-                nxt = 2.0 * t * cur - prev
-            else:
-                nxt = (2.0 * (j - 1 + lam) * t * cur - (j - 2 + 2.0 * lam) * prev) / j
-            prev, cur = cur, nxt
-        out = cur
+    for out in _gegen_sweep(lam, q, np.atleast_1d(t)):
+        pass
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class GegenCoeffTable:
-    """Monomial coefficients of C_q^lam: the polynomial equals
-    sum_j (-1)^j c_j t^(q-2j), j = 0..floor(q/2)."""
-
-    lam: float
-    q: int
-    coeffs: tuple
-
-    def eval(self, t):
-        """Evaluate from the coefficient table (reference path; the
-        recurrence in gegenbauer_eval is the production path)."""
-        t = _clamp_argument(t)
-        out = np.zeros_like(np.atleast_1d(t))
-        tt = np.atleast_1d(t)
-        for j, c in enumerate(self.coeffs):
-            out += (-1) ** j * c * tt ** (self.q - 2 * j)
-        return float(out[0]) if np.ndim(t) == 0 else out
+def _gegen_sweep(lam: float, top: int, t: np.ndarray):
+    """Yield C_q^lam(t) for q = 0..top by the three-term recurrence, with
+    the Chebyshev convention at lam = 0."""
+    prev = np.ones_like(t)
+    yield prev
+    if top == 0:
+        return
+    cur = t.copy() if lam == 0.0 else 2.0 * lam * t
+    yield cur
+    for j in range(2, top + 1):
+        if lam == 0.0:
+            nxt = 2.0 * t * cur - prev
+        else:
+            nxt = (2.0 * (j - 1 + lam) * t * cur - (j - 2 + 2.0 * lam) * prev) / j
+        prev, cur = cur, nxt
+        yield cur
 
 
 def _pochhammer(a: Fraction, n: int) -> Fraction:
@@ -170,21 +166,6 @@ def _coeffs_exact(lam: Fraction, q: int) -> list:
         / (math.factorial(j) * math.factorial(q - 2 * j))
         for j in range(q // 2 + 1)
     ]
-
-
-def gegenbauer_coeffs(lam, q: int) -> GegenCoeffTable:
-    """Monomial coefficient table of C_q^lam, computed in exact rational
-    arithmetic and rounded once at the end.  Degrees are capped at
-    MAX_DEGREE."""
-    if q < 0:
-        raise ValueError(f"degree must be >= 0, got {q}")
-    if q > MAX_DEGREE:
-        raise ValueError(f"degree {q} exceeds the cap {MAX_DEGREE}")
-    lam_frac = lam if isinstance(lam, Fraction) else Fraction(lam)
-    if lam_frac < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    exact = _coeffs_exact(lam_frac, q)
-    return GegenCoeffTable(float(lam_frac), q, tuple(float(c) for c in exact))
 
 
 @lru_cache(maxsize=None)

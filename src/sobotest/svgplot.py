@@ -6,31 +6,15 @@ dotted/dashed per sample size; the asymptotic power curve is drawn solid
 and only for series whose cells sit on the detection threshold.
 """
 
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .harness import PowerTable
 
 _COLORS = ("green", "blue", "darkorange", "purple", "crimson", "teal")
 _EMPIRICAL_DASHES = ("2,4", "8,4", "10,4,2,4", "1,3")
-
-
-@dataclass(frozen=True)
-class SvgLayout:
-    """Geometry and reference level for emit_svg."""
-
-    panel_width: int = 380
-    panel_height: int = 300
-    columns: int = 2
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if self.panel_width < 120 or self.panel_height < 120:
-            raise ValueError("panels must be at least 120x120")
-        if self.columns < 1:
-            raise ValueError(f"columns must be >= 1, got {self.columns}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+_PANEL_WIDTH = 380
+_PANEL_HEIGHT = 300
+_COLUMNS = 2
 
 
 def _fmt(x: float) -> str:
@@ -40,11 +24,11 @@ def _fmt(x: float) -> str:
 class _Panel:
     """Maps (tau, frequency) to pixel coordinates inside one panel box."""
 
-    def __init__(self, x0, y0, layout, tau_min, tau_max):
+    def __init__(self, x0, y0, tau_min, tau_max):
         self.left = x0 + 52
         self.top = y0 + 30
-        self.right = x0 + layout.panel_width - 14
-        self.bottom = y0 + layout.panel_height - 40
+        self.right = x0 + _PANEL_WIDTH - 14
+        self.bottom = y0 + _PANEL_HEIGHT - 40
         if tau_max <= tau_min:
             tau_min, tau_max = tau_min - 0.5, tau_max + 0.5
         self.tau_min = tau_min
@@ -59,7 +43,7 @@ class _Panel:
         return self.bottom - freq * (self.bottom - self.top)
 
 
-def _panel_frame(panel, ell, layout, parts):
+def _panel_frame(panel, ell, alpha, parts):
     parts.append(f'<rect x="{_fmt(panel.left)}" y="{_fmt(panel.top)}" '
                  f'width="{_fmt(panel.right - panel.left)}" '
                  f'height="{_fmt(panel.bottom - panel.top)}" '
@@ -86,13 +70,13 @@ def _panel_frame(panel, ell, layout, parts):
     parts.append(f'<text x="{_fmt((panel.left + panel.right) / 2)}" '
                  f'y="{_fmt(panel.bottom + 30)}" text-anchor="middle" '
                  'font-size="12">tau</text>')
-    y_alpha = panel.y(layout.alpha)
+    y_alpha = panel.y(alpha)
     parts.append(f'<line x1="{_fmt(panel.left)}" y1="{_fmt(y_alpha)}" '
                  f'x2="{_fmt(panel.right)}" y2="{_fmt(y_alpha)}" '
                  'stroke="gray" stroke-width="1" stroke-dasharray="4,3"/>')
     parts.append(f'<text x="{_fmt(panel.right - 4)}" '
                  f'y="{_fmt(y_alpha - 4)}" text-anchor="end" font-size="10" '
-                 f'fill="gray">alpha = {layout.alpha:g}</text>')
+                 f'fill="gray">alpha = {alpha:g}</text>')
 
 
 def _series_points(rows):
@@ -100,10 +84,11 @@ def _series_points(rows):
     return [r for _, r in pts]
 
 
-def emit_svg(table: PowerTable, layout: SvgLayout = None) -> str:
-    """Render a power table as a standalone SVG 1.1 document."""
-    if layout is None:
-        layout = SvgLayout()
+def emit_svg(table: PowerTable, alpha: float = 0.05) -> str:
+    """Render a power table as a standalone SVG 1.1 document, with the
+    level alpha drawn in every panel."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     rows = table.rows
     if not rows:
         raise ValueError("cannot plot an empty table")
@@ -120,10 +105,10 @@ def emit_svg(table: PowerTable, layout: SvgLayout = None) -> str:
             for i, n in enumerate(sizes)}
 
     legend_height = 24 + 16 * len(tests)
-    grid_cols = min(layout.columns, len(ells))
+    grid_cols = min(_COLUMNS, len(ells))
     grid_rows = (len(ells) + grid_cols - 1) // grid_cols
-    width = grid_cols * layout.panel_width + 20
-    height = grid_rows * layout.panel_height + legend_height + 20
+    width = grid_cols * _PANEL_WIDTH + 20
+    height = grid_rows * _PANEL_HEIGHT + legend_height + 20
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -146,10 +131,10 @@ def emit_svg(table: PowerTable, layout: SvgLayout = None) -> str:
         parts.append(f'<text x="46" y="{y}" font-size="12">{label}</text>')
 
     for pi, ell in enumerate(ells):
-        px = 10 + (pi % grid_cols) * layout.panel_width
-        py = legend_height + (pi // grid_cols) * layout.panel_height
-        panel = _Panel(px, py, layout, tau_min, tau_max)
-        _panel_frame(panel, ell, layout, parts)
+        px = 10 + (pi % grid_cols) * _PANEL_WIDTH
+        py = legend_height + (pi // grid_cols) * _PANEL_HEIGHT
+        panel = _Panel(px, py, tau_min, tau_max)
+        _panel_frame(panel, ell, alpha, parts)
         for t in tests:
             stroke = color[t]
             for n in sizes:

@@ -15,7 +15,6 @@ from sobotest.asymptotics import (
     AsymptoticPower,
     MixtureLaw,
     ThresholdReport,
-    asymptotic_power,
     classify_threshold,
     expansion_coeffs,
     expansion_system,
@@ -360,15 +359,15 @@ def test_combined_weights_inherit_oracle_rate():
 
 
 def test_threshold_report_record():
-    text = classify_threshold(BINGHAM, power(3), 12).to_record()
-    assert "case=delayed" in text
-    assert "k_star=6" in text
-    assert "k_dagger=2" in text
-    assert "rate=n^(-1/12)" in text
-    blind = classify_threshold(RAYLEIGH, watson(), 8).to_record()
-    assert "case=blind" in blind
-    assert "blind_up_to_order=8" in blind
-    assert "n^(-1/16)" in blind
+    report = classify_threshold(BINGHAM, power(3), 12)
+    assert report.case == "delayed"
+    assert report.k_star == 6
+    assert report.k_dagger == 2
+    assert report.rate_string() == "n^(-1/12)"
+    blind = classify_threshold(RAYLEIGH, watson(), 8)
+    assert blind.case == "blind"
+    assert blind.blind_up_to_order == 8
+    assert blind.rate_string() == "none"
 
 
 def test_limit_law_null_structure():
@@ -447,6 +446,15 @@ def test_noncentral_series_against_scipy():
             mine_sf = noncentral_chi2_sf(xs + nc, df, nc)
             ref_sf = stats.ncx2.sf(xs + nc, df, nc)
             assert np.allclose(mine_sf, ref_sf, rtol=1e-9, atol=1e-13)
+
+
+def test_noncentral_series_deep_tail():
+    # the terms that carry these tails sit far above the mode of the
+    # Poisson weights; a mode-centred window gave 1.50e-63 at x = 500 and
+    # 5.0e-155 at x = 1000
+    xs = np.array([200.0, 500.0, 1000.0])
+    assert np.allclose(noncentral_chi2_sf(xs, 5, 30.0), stats.ncx2.sf(xs, 5, 30.0),
+                       rtol=1e-10, atol=0.0)
 
 
 def test_noncentral_series_large_noncentrality():
@@ -547,7 +555,7 @@ def test_single_term_law_draws_nothing(monkeypatch):
         law.tail(4.0)
     weights = WeightSequence.finite([1.0, 0.5])
     limit_law(weights, 3).quantile(0.05)
-    asymptotic_power(weights, 3, power(3), 1.5, 0.05)
+    power_curve(weights, 3, power(3), [1.5], 0.05)
     power_curve(weights, 3, vmf(), [0.0, 1.0], 0.05)
     power_curve_csv(weights, 2, watson(), [1.0], 0.05)
 
@@ -767,30 +775,27 @@ def test_mixture_validation():
 
 def test_mixture_record():
     law = MixtureLaw(3, [(1.0, 3, 0.0), (0.25, 5, 1.5)], tail_bound=1e-7)
-    text = law.to_record()
-    assert "n_terms=2" in text
-    assert "term1=1,3,0" in text
-    assert "term2=0.25,5,1.5" in text
-    assert "tail_bound=1e-07" in text
-    assert "draws=" not in text and "seed=" not in text
+    assert law.terms == ((1.0, 3, 0.0), (0.25, 5, 1.5))
+    assert law.tail_bound == 1e-7
+    assert not hasattr(law, "draws") and not hasattr(law, "seed")
 
 
 def test_asymptotic_power_reference_points():
     # tau = 0 sits at the level by continuity
-    row = asymptotic_power(RAYLEIGH, 3, vmf(), 0.0, 0.05)
+    [row] = power_curve(RAYLEIGH, 3, vmf(), [0.0], 0.05)
     assert not row.trivial
     assert row.power == pytest.approx(0.05, abs=1e-9)
     # noncentrality 1 at tau = sqrt(3); frozen from a direct Poisson sum
-    row = asymptotic_power(RAYLEIGH, 3, vmf(), math.sqrt(3.0), 0.05)
+    [row] = power_curve(RAYLEIGH, 3, vmf(), [math.sqrt(3.0)], 0.05)
     ref = stats.ncx2.sf(stats.chi2.ppf(0.95, 3), 3, 1.0)
     assert row.power == pytest.approx(ref, rel=1e-9)
     assert row.power == pytest.approx(0.1156588374, rel=1e-8)
 
 
 def test_asymptotic_power_blind_is_exact_alpha():
-    row = asymptotic_power(RAYLEIGH, 3, watson(), 2.5, 0.05, q=8)
+    [row] = power_curve(RAYLEIGH, 3, watson(), [2.5], 0.05, q=8)
     assert row == AsymptoticPower(0.05, 0.0, True)
-    row = asymptotic_power(THREE, 3, watson(), 1.0, 0.05, q=8)
+    [row] = power_curve(THREE, 3, watson(), [1.0], 0.05, q=8)
     assert row.trivial and row.power == 0.05
 
 
@@ -813,7 +818,7 @@ def test_power_curve_matches_single_calls():
     taus = [0.0, 1.0, 2.0]
     rows = power_curve(BINGHAM, 3, watson(), taus, 0.05)
     for tau, row in zip(taus, rows):
-        single = asymptotic_power(BINGHAM, 3, watson(), tau, 0.05)
+        [single] = power_curve(BINGHAM, 3, watson(), [tau], 0.05)
         assert row.power == pytest.approx(single.power, rel=1e-12)
 
 

@@ -224,6 +224,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
     code, _, _ = run(capsys, "power-curve", str(tmp_path / "missing.ini"))
     assert code == 2
 
+    typo = tmp_path / "typo.ini"
+    typo.write_text("[experiment]\np = 3\nf = vmf\nreplicate = 10\n", encoding="utf-8")
+    code, out, err = run(capsys, "power-curve", str(typo))
+    assert code == 2
+    assert "replicate" in err and out == ""
+
     empty_taus = run(capsys, "asymptotic", "--weights", "rayleigh",
                      "--f", "vmf", "--p", "3", "--taus", ",")
     assert empty_taus[0] == 2

@@ -158,6 +158,7 @@ def test_config_from_file_minimal(tmp_path):
     "[experiment]\np = three\nf = vmf\n",
     "[experiment]\np = 3\nf = vmf\nn_list = 10, x\n",
     "not an ini file at all [\n",
+    "[experiment]\np = 3\nf = vmf\nreplicate = 10\n",
 ])
 def test_config_from_file_malformed(tmp_path, text):
     path = tmp_path / "exp.ini"

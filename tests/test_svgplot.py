@@ -1,14 +1,17 @@
-"""SVG rendering: document validity, panel layout, and the solid/dashed
-split between asymptotic and empirical series."""
+"""SVG rendering: document validity, panel layout, the solid/dashed
+split between asymptotic and empirical series, and the exact bytes of a
+four-panel figure."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from sobotest.harness import PowerRow, PowerTable
-from sobotest.svgplot import SvgLayout, emit_svg
+from sobotest.svgplot import emit_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def row(test="rayleigh", n=500, ell=2, tau=0.0, freq=0.05,
@@ -34,14 +37,10 @@ def elements(svg, local_name):
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
-        SvgLayout(panel_width=50)
-    with pytest.raises(ValueError):
-        SvgLayout(panel_height=80)
-    with pytest.raises(ValueError):
-        SvgLayout(columns=0)
-    with pytest.raises(ValueError):
-        SvgLayout(alpha=0.0)
+    table = PowerTable((row(),))
+    for alpha in (0.0, 1.0, -0.1):
+        with pytest.raises(ValueError):
+            emit_svg(table, alpha=alpha)
 
 
 def test_empty_table_rejected():
@@ -98,7 +97,7 @@ def test_trivial_table_has_no_solid_curve():
 def test_alpha_reference_follows_layout():
     table = PowerTable((row(),))
     assert "alpha = 0.05" in emit_svg(table)
-    assert "alpha = 0.1" in emit_svg(table, SvgLayout(alpha=0.1))
+    assert "alpha = 0.1" in emit_svg(table, alpha=0.1)
 
 
 def test_series_colors_distinct():
@@ -122,10 +121,21 @@ def test_degenerate_tau_span():
 
 
 def test_document_dimensions_cover_grid():
-    svg = emit_svg(figure_shaped_table(), SvgLayout(columns=2))
+    svg = emit_svg(figure_shaped_table())
     root = ET.fromstring(svg)
     width = int(root.get("width"))
     height = int(root.get("height"))
     assert width >= 2 * 380
     assert height >= 2 * 300
     assert root.get("viewBox") == f"0 0 {width} {height}"
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({}, "figure_alpha_0.05.svg"),
+    ({"alpha": 0.1}, "figure_alpha_0.1.svg"),
+])
+def test_figure_matches_golden_bytes(kwargs, name):
+    """The four-panel figure at the default level and at alpha = 0.1,
+    byte for byte against the files in tests/golden/."""
+    svg = emit_svg(figure_shaped_table(), **kwargs)
+    assert svg == (GOLDEN_DIR / name).read_text(encoding="utf-8")
