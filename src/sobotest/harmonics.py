@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rotsym import _NORM_TOL
-from .specfun import _gegen_sweep, _kernel_factor, gegenbauer_eval, harmonic_dim
+from .specfun import _gegen_index, _gegen_sweep, _kernel_factor, gegenbauer_eval, harmonic_dim
 
 __all__ = [
     "basis_matrix",
@@ -193,4 +193,4 @@ def addition_kernel(p: int, k: int, s):
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else 1.0
-    return _kernel_factor(p, k) * gegenbauer_eval(0.0 if p == 2 else (p - 2) / 2.0, k, s)
+    return _kernel_factor(p, k) * gegenbauer_eval(_gegen_index(p), k, s)

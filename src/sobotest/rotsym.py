@@ -1,12 +1,16 @@
 """Rotationally symmetric distributions on the sphere: angular functions,
-normalizing constants, exact-moment references, and tangent-normal
-samplers.
+exact-moment references, and tangent-normal samplers.
 
-A draw is cos(phi) theta + sin(phi) xi, xi uniform on the subsphere
-orthogonal to theta, phi with log-density log f(kappa cos phi) + (p - 2)
-log sin phi on [0, pi].  `RotSymConfig` builds the inverse CDF of phi once,
-a linear density per cell within 1e-8 of the total mass; a replicate
-inverts n uniforms through a guide table with no rejection loop."""
+Every draw is about the north pole e_p: u = (sin(phi) xi, cos(phi)), xi
+uniform on the unit sphere of R^(p-1), phi with log-density
+log f(kappa cos phi) + (p - 2) log sin phi on [0, pi].  That loses no
+generality: a Sobolev statistic sees a sample only through the products
+u_i'u_j, so it takes the same value on Q u_1, ..., Q u_n for any
+orthogonal Q, and multiplying the rows by any such Q with Q e_p = theta
+gives a sample about theta.  `RotSymConfig` builds the inverse CDF of
+phi once, a linear density per cell within 1e-8 of the total mass; a
+replicate inverts n uniforms through a guide table with no rejection
+loop."""
 
 from __future__ import annotations
 
@@ -17,12 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .specfun import gauss_jacobi_rule, gegenbauer_eval, surface_constant
+from .specfun import _gegen_index, gauss_jacobi_rule, gegenbauer_eval
 
 __all__ = [
     "AngularFunction", "vmf", "watson", "power", "cauchy", "custom", "RotSymConfig",
-    "SphericalSample", "normalizing_constant", "t_moment_oracle", "sample_uniform",
-    "sample_rotsym", "save_csv", "load_csv",
+    "SphericalSample", "t_moment_oracle", "sample_uniform", "sample_rotsym", "save_csv",
+    "load_csv",
 ]
 
 _NORM_TOL = 1e-8
@@ -118,7 +122,7 @@ def _cell_masses(logs, width, shift):
 
 
 class _InverseCDF:
-    """Inverse CDF of phi = arccos(u'theta) over cells [left, left + width]:
+    """Inverse CDF of phi = arccos(u'e_p) over cells [left, left + width]:
     the CDF at the edges, a density 1 - tilt + 2 tilt y on each unit cell,
     and a guide table: the last edge at or below each of 2^k steps in u."""
 
@@ -160,7 +164,7 @@ class _InverseCDF:
             left = np.repeat(left[split], pieces) + width * (
                 np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces))
         if split.any():
-            raise ArithmeticError(f"the inverse CDF of u'theta does not converge for "
+            raise ArithmeticError(f"the inverse CDF of u'e_p does not converge for "
                                   f"'{f.name}' at p={p}, kappa={kappa}")
         left, width, logs = (np.concatenate(parts) for parts in zip(*done))
         order = np.argsort(left)
@@ -168,35 +172,37 @@ class _InverseCDF:
         partial, fa, fb = _cell_masses(logs, self.width, logs.max())
         mass = np.cumsum(partial[:, -1])
         self.cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
+        self.upper = self.cdf[1:]
         self.inv_mass = 1.0 / np.maximum(np.diff(self.cdf), 1e-300)
-        self.tilt = np.divide(fb - fa, fa + fb, out=np.zeros_like(fa), where=fa + fb > 0.0)
+        tilt = np.divide(fb - fa, fa + fb, out=np.zeros_like(fa), where=fa + fb > 0.0)
+        # per cell: 1 - tilt, its square and 4 tilt, the terms of the inversion in angles
+        self.lo = 1.0 - tilt
+        self.lo_sq, self.tilt4 = self.lo * self.lo, 4.0 * tilt
         steps = 1 << max(10, (4 * left.size - 1).bit_length())
         self.guide = np.repeat(np.arange(left.size),
                                np.diff(np.ceil(self.cdf * steps).astype(np.intp)))
 
     def angles(self, u: np.ndarray) -> np.ndarray:
         """phi at CDF values u in [0, 1)."""
-        cdf = self.cdf
-        j = self.guide[(u * self.guide.size).astype(np.intp)]
-        j += u >= cdf[j + 1]
-        far = u >= cdf[j + 1]  # steps of u holding several edges: tails, empty cells
+        j = self.guide.take((u * self.guide.size).astype(np.intp))
+        j += u >= self.upper.take(j)
+        far = u >= self.upper.take(j)  # steps of u holding several edges: tails, empty cells
         if far.any():
-            j[far] = np.searchsorted(cdf, u[far], side="right") - 1
-        q, tilt = (u - cdf[j]) * self.inv_mass[j], self.tilt[j]
-        lo = 1.0 - tilt
-        y = 2.0 * q / (lo + np.sqrt(np.maximum(lo * lo + 4.0 * tilt * q, 0.0)) + 1e-300)
-        return self.left[j] + self.width[j] * y
+            j[far] = np.searchsorted(self.cdf, u[far], side="right") - 1
+        q, lo = (u - self.cdf.take(j)) * self.inv_mass.take(j), self.lo.take(j)
+        y = 2.0 * q / (lo + np.sqrt(np.maximum(self.lo_sq.take(j) + self.tilt4.take(j) * q, 0.0))
+                       + 1e-300)
+        return self.left.take(j) + self.width.take(j) * y
 
 
 @dataclass(frozen=True)
 class RotSymConfig:
-    """Sampling configuration: density proportional to f(kappa * u'theta).
-    kappa > 0 builds the inverse CDF of phi = arccos(u'theta) here, once."""
+    """Sampling configuration: density proportional to f(kappa * u'e_p).
+    kappa > 0 builds the inverse CDF of phi = arccos(u'e_p) here, once."""
 
     p: int
     kappa: float
     f: AngularFunction
-    theta: np.ndarray = None
     seed: int = 0
     table: Optional[_InverseCDF] = field(default=None, init=False, compare=False, repr=False)
 
@@ -205,16 +211,6 @@ class RotSymConfig:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.kappa < 0.0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        theta = np.asarray(np.eye(1, self.p, self.p - 1)[0] if self.theta is None
-                           else self.theta, dtype=float)
-        if theta.shape != (self.p,):
-            raise ValueError("theta must be a vector in R^p")
-        nrm = np.linalg.norm(theta)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError("theta must be a unit vector")
-        theta = theta / nrm
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
         if self.kappa > 0.0:
             object.__setattr__(self, "table", _InverseCDF(self.p, self.kappa, self.f))
 
@@ -270,17 +266,6 @@ def _scaled_profile(kappa: float, f: AngularFunction):
     return profile, shift
 
 
-def normalizing_constant(p: int, kappa: float, f: AngularFunction) -> float:
-    """1 / integral of f(kappa*s) (1-s^2)^((p-3)/2) over (-1, 1); equals
-    surface_constant(p) at kappa = 0."""
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if kappa == 0.0:
-        return surface_constant(p)
-    profile, shift = _scaled_profile(kappa, f)
-    return math.exp(-shift) / _adaptive_integral(p, profile)
-
-
 def t_moment_oracle(p: int, kappa: float, f: AngularFunction, m: int) -> float:
     """Exact-quadrature moment E[(u'theta)^m] of the tangent projection."""
     if m < 0:
@@ -295,9 +280,8 @@ def gegenbauer_expectation_oracle(p: int, kappa: float, f: AngularFunction,
     reference curve for the degree-k expansion coefficients."""
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    lam = 0.0 if p == 2 else (p - 2) / 2.0
     profile, _ = _scaled_profile(kappa, f)
-    return (_adaptive_integral(p, lambda s: gegenbauer_eval(lam, k, s) * profile(s))
+    return (_adaptive_integral(p, lambda s: gegenbauer_eval(_gegen_index(p), k, s) * profile(s))
             / _adaptive_integral(p, profile))
 
 
@@ -312,12 +296,13 @@ def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> Spheric
     return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
 
 
-def _normalized_gaussians(gen, n: int, p: int, theta=None) -> np.ndarray:
-    """n normalized Gaussians in R^p, orthogonal to theta if given (tiny rows redrawn)."""
+def _normalized_gaussians(gen, n: int, p: int, tangent: bool = False) -> np.ndarray:
+    """n normalized Gaussians in R^p, with the last coordinate zeroed first
+    if tangent: uniform directions orthogonal to e_p (tiny rows redrawn)."""
     def draw(m):
         z = gen.standard_normal((m, p))
-        if theta is not None:
-            z -= np.outer(z @ theta, theta)
+        if tangent:
+            z[:, -1] = 0.0
         return z
 
     z = draw(n)
@@ -326,32 +311,33 @@ def _normalized_gaussians(gen, n: int, p: int, theta=None) -> np.ndarray:
         bad = norms < 1e-12
         z[bad] = draw(int(bad.sum()))
         norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
+    z /= norms[:, None]
+    return z
 
 
 def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> SphericalSample:
-    """n draws from the density proportional to f(kappa * u'theta),
-    deterministic in (config, n, replicate).  The tangent direction is a
-    sign at p = 2, one uniform angle at p = 3, else a projected Gaussian."""
+    """n draws from the density proportional to f(kappa * u'e_p),
+    deterministic in (config, n, replicate): u = (sin(phi) xi, cos(phi))
+    with xi a sign at p = 2, one uniform angle at p = 3, else a
+    normalized Gaussian in R^(p-1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.stream(config.seed, replicate)
-    p, theta = config.p, config.theta
+    p = config.p
     if config.kappa == 0.0:
         return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
     phi = config.table.angles(gen.random(n))
     t, s = np.cos(phi), np.sin(phi)
     if p == 3:
-        e1 = np.cross(theta, np.eye(3)[np.argmin(np.abs(theta))])
-        e1 /= np.linalg.norm(e1)
         w = 2.0 * math.pi * gen.random(n)
-        return SphericalSample(p, n, np.column_stack([t, s * np.cos(w), s * np.sin(w)])
-                               @ np.array([theta, e1, np.cross(theta, e1)]))
+        return SphericalSample(p, n, np.column_stack([-s * np.sin(w), s * np.cos(w), t]))
     if p == 2:
-        xi = (2.0 * gen.integers(0, 2, size=n) - 1.0)[:, None] * [-theta[1], theta[0]]
-    else:
-        xi = _normalized_gaussians(gen, n, p, theta)
-    return SphericalSample(p, n, t[:, None] * theta + s[:, None] * xi)
+        return SphericalSample(p, n, np.column_stack(
+            [(1.0 - 2.0 * gen.integers(0, 2, size=n)) * s, t]))
+    points = _normalized_gaussians(gen, n, p, tangent=True)
+    points *= s[:, None]
+    points[:, -1] = t
+    return SphericalSample(p, n, points)
 
 
 def save_csv(sample: SphericalSample, path) -> None:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .harmonics import basis_matrix
 from .rotsym import SphericalSample
-from .specfun import _gegen_poly_exact, _gegen_sweep, _kernel_factor, harmonic_dim
+from .specfun import (_gegen_index, _gegen_poly_exact, _gegen_sweep, _kernel_factor,
+                      harmonic_dim)
 
 __all__ = [
     "WeightSequence",
@@ -168,8 +169,7 @@ def _kernel_weighted_sum(p: int, pairs, s: np.ndarray) -> np.ndarray:
     list of (k, v_k^2) with k >= 1."""
     want = dict(pairs)
     acc = np.zeros_like(s)
-    lam = 0.0 if p == 2 else (p - 2) / 2.0
-    for k, gegen in enumerate(_gegen_sweep(lam, max(want), s)):
+    for k, gegen in enumerate(_gegen_sweep(_gegen_index(p), max(want), s)):
         if k in want:
             acc += want[k] * _kernel_factor(p, k) * gegen
     return acc
@@ -219,7 +219,7 @@ def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
     n, p = X.shape
     sums = {}
     if 1 in orders:
-        col = X.sum(axis=0)
+        col = np.einsum("ij->j", X)  # X.sum(axis=0) bit for bit on C-ordered X, faster
         sums[1] = float(col @ col)
     if orders & {2, 4}:
         scatter = X.T @ X

@@ -69,6 +69,12 @@ def _kernel_factor(p: int, k: int, one=1.0):
     return 2 * one if p == 2 else one + 2 * k * one / (p - 2)
 
 
+def _gegen_index(p: int) -> float:
+    """Index lam of C_k^lam in the degree-k addition kernel on the sphere in
+    R^p: (p - 2) / 2, which is 0, the Chebyshev convention, at p = 2."""
+    return (p - 2) / 2.0
+
+
 def null_moment(p: int, m: int) -> float:
     """m-th moment of u'theta under the uniform law on the sphere in R^p.
 

@@ -40,6 +40,8 @@ from sobotest import specfun
 
 from oracles.chi2_series_oracle import noncentral_chi2_sf
 
+pytestmark = pytest.mark.acceptance
+
 M = 2000
 SEED = 0
 EPS = 1e-12

@@ -14,7 +14,8 @@ import pytest
 from scipy import integrate, stats
 
 from oracles import rotsym_sampler_oracle
-from sobotest import rotsym
+from oracles.normalizing_constant_oracle import normalizing_constant
+from sobotest import rng, rotsym
 from sobotest.cli import cli
 
 # frozen from tests/oracles/rotsym_oracle.py
@@ -73,11 +74,11 @@ def test_custom_profile_validation():
 
 def test_normalizing_constants():
     for p, kappa, name, expected in NORM_CONSTANTS:
-        got = rotsym.normalizing_constant(p, kappa, _profile(name))
+        got = normalizing_constant(p, kappa, _profile(name))
         assert got == pytest.approx(expected, rel=1e-10)
     # kappa = 0 reduces to the uniform constant
-    assert rotsym.normalizing_constant(3, 0.0, rotsym.vmf()) == pytest.approx(0.5)
-    assert rotsym.normalizing_constant(2, 0.0, rotsym.vmf()) == pytest.approx(1 / math.pi)
+    assert normalizing_constant(3, 0.0, rotsym.vmf()) == pytest.approx(0.5)
+    assert normalizing_constant(2, 0.0, rotsym.vmf()) == pytest.approx(1 / math.pi)
 
 
 def test_t_moment_oracle_values():
@@ -101,7 +102,7 @@ def test_quadrature_oracles_at_large_kappa():
         assert rotsym.gegenbauer_expectation_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(
             ref, rel=1e-12)
     # the constant itself, kappa / (2 sinh kappa), is below the smallest double
-    assert rotsym.normalizing_constant(3, 800.0, rotsym.vmf()) == 0.0
+    assert normalizing_constant(3, 800.0, rotsym.vmf()) == 0.0
 
 
 def test_cauchy_domain():
@@ -117,10 +118,6 @@ def test_config_validation():
         rotsym.RotSymConfig(p=1, kappa=0.0, f=rotsym.vmf())
     with pytest.raises(ValueError):
         rotsym.RotSymConfig(p=3, kappa=-0.1, f=rotsym.vmf())
-    with pytest.raises(ValueError):
-        rotsym.RotSymConfig(p=3, kappa=1.0, f=rotsym.vmf(), theta=[1.0, 1.0, 0.0])
-    cfg = rotsym.RotSymConfig(p=4, kappa=1.0, f=rotsym.vmf())
-    np.testing.assert_allclose(cfg.theta, [0, 0, 0, 1])
 
 
 def test_uniform_sampler_moments():
@@ -150,7 +147,7 @@ def test_sampler_moments_match_oracle(p, kappa, name):
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=f, seed=1234)
     n = 200_000
     s = rotsym.sample_rotsym(cfg, n)
-    t = s.points @ cfg.theta
+    t = s.points[:, -1]
     for m in (1, 2, 3, 4):
         target = rotsym.t_moment_oracle(p, kappa, f, m)
         se = float(np.std(t**m)) / math.sqrt(n)
@@ -160,7 +157,7 @@ def test_sampler_moments_match_oracle(p, kappa, name):
 def test_kappa_zero_matches_uniform_moments():
     cfg = rotsym.RotSymConfig(p=3, kappa=0.0, f=rotsym.vmf(), seed=11)
     s = rotsym.sample_rotsym(cfg, 200_000)
-    t = s.points @ cfg.theta
+    t = s.points[:, -1]
     for m in (1, 2, 3, 4):
         target = rotsym.t_moment_oracle(3, 0.0, rotsym.vmf(), m)
         se = float(np.std(t**m)) / math.sqrt(s.n) + 1e-12
@@ -168,14 +165,12 @@ def test_kappa_zero_matches_uniform_moments():
 
 
 def test_tangent_directions_are_rotation_symmetric():
-    # tangent parts, projected into the plane orthogonal to theta and
+    # tangent parts, the first two coordinates of draws about e_3,
     # renormalized, must be uniform on that circle
     cfg = rotsym.RotSymConfig(p=3, kappa=2.0, f=rotsym.vmf(), seed=21)
     n = 100_000
     s = rotsym.sample_rotsym(cfg, n)
-    t = s.points @ cfg.theta
-    tang = s.points - t[:, None] * cfg.theta[None, :]
-    tang = tang[:, :2] / np.linalg.norm(tang[:, :2], axis=1, keepdims=True)
+    tang = s.points[:, :2] / np.linalg.norm(s.points[:, :2], axis=1, keepdims=True)
     resultant = 2.0 * n * float(tang.mean(axis=0) @ tang.mean(axis=0))
     assert resultant < 18.5  # chi^2_2 far-tail bound, seed-fixed
 
@@ -183,11 +178,52 @@ def test_tangent_directions_are_rotation_symmetric():
 def test_p2_tangent_signs():
     cfg = rotsym.RotSymConfig(p=2, kappa=1.0, f=rotsym.vmf(), seed=3)
     s = rotsym.sample_rotsym(cfg, 50_000)
-    t = s.points @ cfg.theta
-    perp = s.points @ np.array([-cfg.theta[1], cfg.theta[0]])
+    t = s.points[:, -1]
+    perp = s.points[:, 0]
     np.testing.assert_allclose(t**2 + perp**2, 1.0, atol=1e-12)
     frac_pos = float(np.mean(perp > 0))
     assert abs(frac_pos - 0.5) < 5.0 / math.sqrt(4 * s.n)
+
+
+class _ZeroRowStream:
+    """A stream whose first normal draw has row 0 all zero and row 1 zero
+    but for its last entry, which tangent draws zero too; counts normals."""
+
+    def __init__(self, gen):
+        self.gen, self.normals = gen, 0
+
+    def random(self, size):
+        return self.gen.random(size)
+
+    def standard_normal(self, size):
+        z = self.gen.standard_normal(size)
+        if self.normals == 0:
+            z[0] = 0.0
+            z[1, :-1] = 0.0
+        self.normals += z.size
+        return z
+
+
+@pytest.mark.parametrize("p,kappa,redrawn", [(3, 0.0, 1), (5, 2.0, 2)])
+def test_tiny_gaussian_rows_are_redrawn(monkeypatch, p, kappa, redrawn):
+    # kappa = 0 draws whole Gaussians, so only row 0 is tiny; kappa > 0
+    # draws tangent ones with the last column zeroed, so row 1 is tiny too
+    cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf(), seed=4)
+    n = 50
+    plain = rotsym.sample_rotsym(cfg, n).points
+    stream, streams = rng.stream, []
+
+    def zero_row_stream(*key):
+        streams.append(_ZeroRowStream(stream(*key)))
+        return streams[-1]
+
+    monkeypatch.setattr(rng, "stream", zero_row_stream)
+    points = rotsym.sample_rotsym(cfg, n).points
+    assert streams[0].normals == (n + redrawn) * p
+    np.testing.assert_allclose(np.linalg.norm(points[:redrawn], axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(points[2:], plain[2:])
+    if kappa > 0.0:
+        np.testing.assert_array_equal(points[:, -1], plain[:, -1])  # t is drawn before xi
 
 
 # log f for the references below, written out independently of the package
@@ -240,8 +276,8 @@ def _quad_moments(p, kappa, name, orders):
     return [v / mass[0] for v in mass[1:]]
 
 
-def _check_moments(s, theta, reference):
-    t = s.points @ theta
+def _check_moments(s, reference):
+    t = s.points[:, -1]
     for m, target in enumerate(reference, start=1):
         se = float(np.std(t**m)) / math.sqrt(s.n)
         assert abs(float(np.mean(t**m)) - target) < 5.0 * se + 1e-12, m
@@ -286,7 +322,7 @@ def _ks_reference_cdf(p, kappa, name):
     (20, "cauchy", 0.45, 104)])
 def test_sampler_one_sample_ks(p, name, kappa, seed):
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=_profile(name), seed=seed)
-    t = rotsym.sample_rotsym(cfg, 200_000).points @ cfg.theta
+    t = rotsym.sample_rotsym(cfg, 200_000).points[:, -1]
     if (p, name) == (3, "vmf"):
         # closed form: the density of t is proportional to exp(kappa t)
         cdf = lambda x: np.expm1(kappa * (x + 1.0)) / np.expm1(2.0 * kappa)  # noqa: E731
@@ -300,7 +336,7 @@ def test_sampler_one_sample_ks(p, name, kappa, seed):
 def test_sampler_matches_rejection_oracle(p, name, kappa):
     f = _profile(name)
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=f, seed=7)
-    t = rotsym.sample_rotsym(cfg, 50_000).points @ cfg.theta
+    t = rotsym.sample_rotsym(cfg, 50_000).points[:, -1]
     oracle = rotsym_sampler_oracle.sample_t(np.random.default_rng(8), p, kappa, f, 50_000)
     assert stats.ks_2samp(t, oracle).pvalue > 1e-3
 
@@ -312,7 +348,7 @@ def test_vmf_kappa_800_p3(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 11
     kappa = 800.0
     cfg = rotsym.RotSymConfig(p=3, kappa=kappa, f=rotsym.vmf(), seed=5)
-    t = rotsym.sample_rotsym(cfg, 100_000).points @ cfg.theta
+    t = rotsym.sample_rotsym(cfg, 100_000).points[:, -1]
     mean = 1.0 / math.tanh(kappa) - 1.0 / kappa
     assert abs(float(t.mean()) - mean) < 5.0 * float(t.std()) / math.sqrt(t.size)
 
@@ -322,7 +358,7 @@ def test_power40_kappa3_builds_and_samples():
     # double precision, half of it on each side (f is even)
     cfg = rotsym.RotSymConfig(p=3, kappa=3.0, f=rotsym.power(40), seed=2)
     s = rotsym.sample_rotsym(cfg, 20_000)
-    t = s.points @ cfg.theta
+    t = s.points[:, -1]
     np.testing.assert_allclose(np.linalg.norm(s.points, axis=1), 1.0, atol=1e-12)
     assert np.all(np.abs(t) > 1.0 - 1e-12)
     assert abs(float(np.mean(t > 0.0)) - 0.5) < 5.0 * 0.5 / math.sqrt(t.size)
@@ -333,7 +369,7 @@ def test_concentrated_vmf_moments(p, kappa):
     # the rejection sampler's acceptance fell below 1e-6 on all three
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf(), seed=1)
     s = rotsym.sample_rotsym(cfg, 200_000)
-    _check_moments(s, cfg.theta, _quad_moments(p, kappa, "vmf", (1, 2, 3, 4)))
+    _check_moments(s, _quad_moments(p, kappa, "vmf", (1, 2, 3, 4)))
 
 
 def test_table_that_does_not_converge_raises():

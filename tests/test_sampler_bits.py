@@ -1,0 +1,61 @@
+"""Bit-identity gate of the sampler and the harmonic statistic.
+
+The golden experiment CSVs pin only the decisions of each replicate.
+`tests/golden/sampler_bits.json` pins the bits under them: for every
+sampler config below and every (seed, replicate), the sha256 of the
+points of `sample_rotsym` (after `+ 0.0`, which folds -0.0 into 0.0)
+and `float.hex` of `stat_harmonic` at degrees 1-4 on that sample.  Like
+the CSVs, the file changes only with a bump of
+`sobotest.rng.STREAM_VERSION` (protocol in tests/test_stream_golden.py).
+It is written by
+
+    PYTHONPATH=src python3 tests/test_sampler_bits.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from sobotest.rotsym import RotSymConfig, cauchy, sample_rotsym, vmf, watson
+from sobotest.sobolev import WeightSequence, stat_harmonic
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "sampler_bits.json"
+# (p, profile, kappa): every tangent-direction branch (p = 2, 3, >= 4) and kappa = 0
+CONFIGS = [(2, "vmf", 0.8), (3, "vmf", 0.0424), (3, "watson", 1.967), (3, "vmf", 0.0),
+           (4, "cauchy", 0.4), (20, "vmf", 0.134), (30, "vmf", 1.69)]
+SEEDS, REPLICATES, N = (1, 97), (0, 4), 500
+PROFILES = {"vmf": vmf, "watson": watson, "cauchy": cauchy}
+
+
+def _label(p, name, kappa, seed, replicate):
+    return f"p{p}_{name}_{kappa!r}_s{seed}_r{replicate}"
+
+
+def _digests(p, name, kappa):
+    """{label: {"points": sha256, "stat_k": hex}} over the seeds and replicates."""
+    out = {}
+    for seed in SEEDS:
+        config = RotSymConfig(p=p, kappa=kappa, f=PROFILES[name](), seed=seed)
+        for replicate in REPLICATES:
+            sample = sample_rotsym(config, N, replicate=replicate)
+            entry = {"points": hashlib.sha256((sample.points + 0.0).tobytes()).hexdigest()}
+            for k in range(1, 5):
+                entry[f"stat_{k}"] = float.hex(stat_harmonic(sample, WeightSequence.delta(k)))
+            out[_label(p, name, kappa, seed, replicate)] = entry
+    return out
+
+
+@pytest.mark.parametrize("p,name,kappa", CONFIGS)
+def test_sampler_and_statistic_bits(p, name, kappa):
+    golden = json.loads(GOLDEN.read_text())
+    assert _digests(p, name, kappa) == {
+        key: value for key, value in golden.items() if key.startswith(f"p{p}_{name}_{kappa!r}_")}
+
+
+if __name__ == "__main__":
+    table = {}
+    for cfg in CONFIGS:
+        table.update(_digests(*cfg))
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
