@@ -306,13 +306,26 @@ def _normalized_gaussians(gen, n: int, p: int, tangent: bool = False) -> np.ndar
         return z
 
     z = draw(n)
-    norms = np.linalg.norm(z, axis=1)
+    norms = _row_norms(z)
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
         z[bad] = draw(int(bad.sum()))
-        norms = np.linalg.norm(z, axis=1)
+        norms = _row_norms(z)
     z /= norms[:, None]
     return z
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(z, axis=1) bit for bit.  Below 8 columns numpy's
+    reduce sums a row left to right, ((z0^2 + z1^2) + z2^2) + ..., which
+    column sums repeat at a fifth of the cost; from 8 on it sums pairwise."""
+    p = z.shape[1]
+    if p >= 8:
+        return np.linalg.norm(z, axis=1)
+    sq = z[:, 0] * z[:, 0]
+    for j in range(1, p):
+        sq += z[:, j] * z[:, j]
+    return np.sqrt(sq, out=sq)
 
 
 def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> SphericalSample:
@@ -327,10 +340,22 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
     if config.kappa == 0.0:
         return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
     phi = config.table.angles(gen.random(n))
-    t, s = np.cos(phi), np.sin(phi)
     if p == 3:
-        w = 2.0 * math.pi * gen.random(n)
-        return SphericalSample(p, n, np.column_stack([-s * np.sin(w), s * np.cos(w), t]))
+        # (-s sin w, s cos w, t) written column by column into one array;
+        # negating the product is exact, so the bits are those of -s * sin w
+        points = np.empty((n, 3))
+        s = np.sin(phi)
+        np.cos(phi, out=points[:, 2])
+        w = gen.random(n)
+        w *= 2.0 * math.pi
+        x, y = points[:, 0], points[:, 1]
+        np.sin(w, out=x)
+        np.multiply(x, s, out=x)
+        np.negative(x, out=x)
+        np.cos(w, out=y)
+        np.multiply(y, s, out=y)
+        return SphericalSample(p, n, points)
+    t, s = np.cos(phi), np.sin(phi)
     if p == 2:
         return SphericalSample(p, n, np.column_stack(
             [(1.0 - 2.0 * gen.integers(0, 2, size=n)) * s, t]))
