@@ -1,15 +1,18 @@
 """Monte Carlo power experiments over rotationally symmetric alternatives.
 
-An experiment sweeps a grid of (test, sample size, rate exponent, tau)
-cells.  Each cell draws M independent samples with concentration
-kappa = tau * n**(-1/ell), runs the requested test at level alpha, and
-records the rejection frequency next to the asymptotic power of the test
-whenever the cell sits exactly on the test's detection threshold
-(ell = 2 k_star); every other cell is flagged trivial.
+An experiment sweeps a grid of (sample size, rate exponent, tau) cells.
+Each cell draws M independent samples with concentration
+kappa = tau * n**(-1/ell), runs every requested test at level alpha on
+each of them, and records per test the rejection frequency next to the
+asymptotic power of the test whenever the cell sits exactly on the
+test's detection threshold (ell = 2 k_star); every other row is flagged
+trivial.  Rows come out in (test, n, ell, tau) order.
 
-Replicate streams are keyed by (base_seed, test index, n, ell, tau index,
-replicate index), so any cell can be reproduced in isolation and the
-resulting table is byte-identical for every parallelism degree.
+Replicate streams are keyed by (base_seed, 0, n, ell, tau index,
+replicate index): the tests of a cell share its samples, the 0 keeps
+the key of the first test of stream contract 2, any cell can be
+reproduced in isolation, and the resulting table is byte-identical for
+every parallelism degree.
 """
 
 import configparser
@@ -229,26 +232,31 @@ class _Engine:
             law.quantile(config.alpha)
             self.laws.append(law)
 
-    def run_cell(self, cell) -> tuple:
-        ti, n, ell, taui = cell
+    def run_cell(self, cell) -> list:
+        """(rejection frequency, Monte Carlo se) of every test at cell
+        (n, ell, tau index), all decided on the same samples."""
+        n, ell, taui = cell
         cfg = self.config
         tau = cfg.tau_grid[taui]
         kappa = tau * float(n) ** (-1.0 / ell)
-        _, weights = self.tests[ti]
-        law = self.laws[ti]
+        weight_list = [weights for _, weights in self.tests]
         # the decision rule of run_test (strict exceedance), without the
         # p-value it would compute and this loop would discard
-        crit, _ = law.quantile(cfg.alpha)
-        cell_seed = int(stream(cfg.base_seed, ti, n, ell, taui).integers(
+        crits = [law.quantile(cfg.alpha)[0] for law in self.laws]
+        cell_seed = int(stream(cfg.base_seed, 0, n, ell, taui).integers(
             0, 2**63 - 1))
         sampler = RotSymConfig(p=cfg.p, kappa=kappa, f=self.f, seed=cell_seed)
-        rejects = 0
+        rejects = [0] * len(crits)
         for replicate in range(cfg.replicates):
             sample = sample_rotsym(sampler, n, replicate=replicate)
-            rejects += sobolev.stat_harmonic(sample, weights) > crit
-        freq = rejects / cfg.replicates
-        se = math.sqrt(freq * (1.0 - freq) / cfg.replicates)
-        return freq, se
+            stats = sobolev.stat_harmonics(sample, weight_list)
+            for ti, (stat, crit) in enumerate(zip(stats, crits)):
+                rejects[ti] += stat > crit
+        outcomes = []
+        for count in rejects:
+            freq = count / cfg.replicates
+            outcomes.append((freq, math.sqrt(freq * (1.0 - freq) / cfg.replicates)))
+        return outcomes
 
 
 _POOL_ENGINE = None
@@ -286,12 +294,12 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
     """Rejection frequencies over the full (test, n, ell, tau) grid.
 
     Deterministic in config.base_seed for every parallelism degree; the
-    per-test null law is built once and shared by all replicates.
+    per-test null law is built once and shared by all replicates, and
+    every test of a cell is decided on the same samples.
     """
     engine = _Engine(config)
     refs = _asymptotic_references(config, engine)
-    cells = [(ti, n, ell, taui)
-             for ti in range(len(engine.tests))
+    cells = [(n, ell, taui)
              for n in config.n_list
              for ell in config.rate_exponents
              for taui in range(len(config.tau_grid))]
@@ -303,12 +311,13 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
     else:
         outcomes = [engine.run_cell(cell) for cell in cells]
     rows = []
-    for cell, (freq, se) in zip(cells, outcomes):
-        ti, n, ell, taui = cell
-        curve = refs[ti, ell]
-        rows.append(PowerRow(
-            test=engine.tests[ti][0], n=n, ell=ell,
-            tau=config.tau_grid[taui], reject_freq=freq, mc_se=se,
-            asym_power=None if curve is None else curve[taui],
-            trivial=curve is None))
+    for ti, (label, _) in enumerate(engine.tests):
+        for (n, ell, taui), per_test in zip(cells, outcomes):
+            freq, se = per_test[ti]
+            curve = refs[ti, ell]
+            rows.append(PowerRow(
+                test=label, n=n, ell=ell,
+                tau=config.tau_grid[taui], reject_freq=freq, mc_se=se,
+                asym_power=None if curve is None else curve[taui],
+                trivial=curve is None))
     return PowerTable(tuple(rows))

@@ -291,10 +291,37 @@ def test_parallelism_byte_identical():
 
 def test_cell_reproducible_in_isolation():
     cfg = tiny_config()
-    cell = (0, 60, 2, 1)
+    cell = (60, 2, 1)
     first = _Engine(cfg).run_cell(cell)
     second = _Engine(cfg).run_cell(cell)
     assert first == second
+    assert len(first) == len(cfg.tests)
+
+
+@pytest.mark.parametrize("tests", [("rayleigh", "bingham"), ("3-test", "1,0.5", "rayleigh")])
+def test_first_test_rows_equal_the_test_run_alone(tests):
+    # stream contract 3 keys a cell's samples as contract 2 keyed its
+    # first test's, and every test of the cell reads the same samples
+    cfg = tiny_config(tests=tests, n_list=(60, 90), tau_grid=(0.0, 2.0, 5.0))
+    together = run_power_experiment(cfg).to_csv().splitlines()
+    alone = run_power_experiment(tiny_config(
+        tests=tests[:1], n_list=(60, 90), tau_grid=(0.0, 2.0, 5.0))).to_csv().splitlines()
+    assert together[:len(alone)] == alone
+    assert len(together) == 1 + len(tests) * (len(alone) - 1)
+
+
+def test_repeated_test_gives_identical_rows():
+    rows = run_power_experiment(tiny_config(tests=("bingham", "bingham"))).rows
+    half = len(rows) // 2
+    assert rows[:half] == rows[half:]
+    assert {r.test for r in rows} == {"bingham"}
+
+
+def test_rows_in_test_n_ell_tau_order():
+    cfg = tiny_config(n_list=(60, 90))
+    keys = [(r.test, r.n, r.ell, r.tau) for r in run_power_experiment(cfg).rows]
+    assert keys == [(t, n, ell, tau) for t in cfg.tests for n in cfg.n_list
+                    for ell in cfg.rate_exponents for tau in cfg.tau_grid]
 
 
 def test_null_size_at_tau_zero():

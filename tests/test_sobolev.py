@@ -15,6 +15,7 @@ from sobotest.sobolev import (
     rayleigh_stat,
     run_test,
     stat_harmonic,
+    stat_harmonics,
     stat_kernel,
 )
 from sobotest.specfun import _gegen_poly_exact, gegenbauer_eval, harmonic_dim
@@ -139,6 +140,26 @@ def test_routes_agree_for_infinite_sequence():
     sample = sample_uniform(3, 250, seed=14)
     w = WeightSequence.from_rule(lambda k: 2.0 ** (-k))
     assert stat_kernel(sample, w) == pytest.approx(stat_harmonic(sample, w), rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [2, 3, 20])
+def test_statistics_of_a_list_keep_each_ones_bits(p):
+    # the power sums and basis column sums a list requests are the union of
+    # its sequences' degrees; each statistic must not see the others
+    sample = sample_rotsym(RotSymConfig(p=p, kappa=0.4, f=vmf(), seed=21), 300)
+    weight_list = [WeightSequence.delta(1), WeightSequence.delta(2),
+                   WeightSequence.finite([1.0, 0.5, 0.25]), WeightSequence.delta(4),
+                   WeightSequence.delta(2), WeightSequence.finite([0.0, 0.0, 1.0, 0.0, 0.3])]
+    if p == 3:
+        weight_list.append(WeightSequence.from_rule(lambda k: 2.0 ** (-k)))
+        assert weight_list[-1].truncation(3).k_trunc > 5
+    stats_ = stat_harmonics(sample, weight_list)
+    assert len(stats_) == len(weight_list)
+    for w, value in zip(weight_list, stats_):
+        assert float.hex(value) == float.hex(stat_harmonic(sample, w))
+    for w in weight_list:
+        assert stat_harmonics(sample, [w]) == [stat_harmonic(sample, w)]
+    assert stat_harmonics(sample, []) == []
 
 
 def test_blocked_gram_matches_direct():

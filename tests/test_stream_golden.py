@@ -2,10 +2,12 @@
 
 `run_power_experiment` must reproduce the checked-in CSVs under
 `tests/golden/` byte for byte, at parallelism 1 and at parallelism 2.
-The three configs cover the README experiment at reduced M for a vMF and
-a Watson alternative, and a p = 20 multi-term config whose tests mix
-degrees 1-3.  Version 2 (the inverse-CDF sampler) added tau = 14 to the
-p = 20 config.
+The four configs cover the README experiment at reduced M for a vMF and
+a Watson alternative, a p = 20 multi-term config whose tests mix
+degrees 1-3, and the three named tests at p = 2, where the harmonics
+are Chebyshev polynomials.  Version 2 (the inverse-CDF sampler) added
+tau = 14 to the p = 20 config.  Version 3: one sample per cell and
+replicate for every test; it added the p = 2 config.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -32,7 +34,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 2
+FIXTURE_STREAM_VERSION = 3
 
 _README_GRID = dict(
     p=3,
@@ -53,6 +55,11 @@ CONFIGS = {
     "p20_vmf_multi_m8": ExperimentConfig(
         p=20, f_id="vmf", tests=("3-test", "1,0.5,0.25"), n_list=(500,),
         rate_exponents=(6,), tau_grid=(0.0, 3.0, 6.0, 14.0), replicates=8),
+    # tau = 4 puts each test's asymptotic power on its threshold at
+    # 0.72 (rayleigh, bingham) and 0.37 (3-test)
+    "p2_vmf_m8": ExperimentConfig(
+        p=2, f_id="vmf", tests=("rayleigh", "bingham", "3-test"), n_list=(500,),
+        rate_exponents=(2, 4, 6), tau_grid=(0.0, 4.0), replicates=8),
 }
 
 
