@@ -157,9 +157,6 @@ def test_statistics_of_a_list_keep_each_ones_bits(p):
     assert len(stats_) == len(weight_list)
     for w, value in zip(weight_list, stats_):
         assert float.hex(value) == float.hex(stat_harmonic(sample, w))
-    for w in weight_list:
-        assert stat_harmonics(sample, [w]) == [stat_harmonic(sample, w)]
-    assert stat_harmonics(sample, []) == []
 
 
 def test_blocked_gram_matches_direct():
