@@ -13,8 +13,9 @@ __all__ = ["STREAM_VERSION", "stream"]
 
 # Version of the stream contract: which draws every (seed, key) yields and
 # how the harness consumes them.  Bump it in any change that moves a row
-# of the golden experiment CSVs under tests/golden/.
-STREAM_VERSION = 3
+# of the golden experiment CSVs or a digest of sampler_bits.json under
+# tests/golden/.
+STREAM_VERSION = 4
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

@@ -10,7 +10,10 @@ orthogonal Q, and multiplying the rows by any such Q with Q e_p = theta
 gives a sample about theta.  `RotSymConfig` builds the inverse CDF of
 phi once, a linear density per cell within 1e-8 of the total mass; a
 replicate inverts n uniforms through a guide table with no rejection
-loop."""
+loop.  No sin or cos is taken per point: cos phi and sin phi come by
+angle addition from the cos and sin of each cell's left edge, stored
+with the table, and the uniform angle w of the tangent direction at
+p = 3 the same way from a 1024-step circle."""
 
 from __future__ import annotations
 
@@ -36,6 +39,18 @@ _TABLE_TOL, _TABLE_MAX_CELLS, _TABLE_MAX_LEVELS = 1e-8, 1 << 16, 120
 _NODES = np.linspace(0.0, 1.0, 5)
 _PARTIALS = np.array([[251, 232, 243, 224], [646, 992, 918, 1024], [-264, 192, 648, 384],
                       [106, 32, 378, 1024], [-19, -8, -27, 224]]) / 2880.0
+# Taylor coefficients of sin d - d (d^3 to d^9) and cos d - 1 (d^2 to d^10), highest first:
+# the next terms are below 3e-18 of the value for |d| <= pi/32, the widest table cell
+_SIN_D = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
+_COS_D = (-1.0 / 3628800.0, 1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -0.5)
+# the tangent angle at p = 3 on a circle of 1024 steps: cos and sin at each
+# step, at angles taken in (-pi, pi], where they round half as far as in [0, 2 pi)
+_CIRCLE_STEPS = 1024
+_CIRCLE_STEP = 2.0 * math.pi / _CIRCLE_STEPS
+_steps = np.arange(_CIRCLE_STEPS)
+_steps[_CIRCLE_STEPS // 2 + 1:] -= _CIRCLE_STEPS
+_CIRCLE_COS, _CIRCLE_SIN = np.cos(_steps * _CIRCLE_STEP), np.sin(_steps * _CIRCLE_STEP)
+del _steps
 
 
 @dataclass(frozen=True)
@@ -121,10 +136,43 @@ def _cell_masses(logs, width, shift):
     return (vals @ _PARTIALS) * width[:, None], vals[:, 0], vals[:, 4]
 
 
+def _rotate(cos_a, sin_a, d):
+    """cos(a + d) and sin(a + d) from cos a, sin a and |d| <= pi/32, by
+    angle addition with sin d and cos d - 1 as Taylor polynomials."""
+    d2 = d * d
+    sin_d, cos_d = d2 * _SIN_D[0], d2 * _COS_D[0]
+    for c in _SIN_D[1:]:
+        sin_d += c
+        sin_d *= d2
+    for c in _COS_D[1:]:
+        cos_d += c
+        cos_d *= d2
+    sin_d *= d
+    sin_d += d
+    cos = cos_a * cos_d
+    cos -= sin_a * sin_d
+    cos += cos_a
+    sin = sin_a * cos_d
+    sin += cos_a * sin_d
+    sin += sin_a
+    return cos, sin
+
+
+def _circle(u: np.ndarray):
+    """cos w and sin w of the angle w = 2 pi u, u in [0, 1): the step
+    below w from the table and the exact remainder of 1024 u."""
+    d = u * _CIRCLE_STEPS  # exact: a power of two
+    step = d.astype(np.intp)
+    d -= step
+    d *= _CIRCLE_STEP
+    return _rotate(_CIRCLE_COS.take(step), _CIRCLE_SIN.take(step), d)
+
+
 class _InverseCDF:
     """Inverse CDF of phi = arccos(u'e_p) over cells [left, left + width]:
     the CDF at the edges, a density 1 - tilt + 2 tilt y on each unit cell,
-    and a guide table: the last edge at or below each of 2^k steps in u."""
+    cos and sin of each left edge, and a guide table: the last edge at or
+    below each of 2^k steps in u."""
 
     def __init__(self, p: int, kappa: float, f: AngularFunction):
         # positivity probe: f(kappa s) > 0, with a finite log, on [-1, 1]
@@ -169,6 +217,7 @@ class _InverseCDF:
         left, width, logs = (np.concatenate(parts) for parts in zip(*done))
         order = np.argsort(left)
         self.left, self.width, logs = left[order], width[order], logs[order]
+        self.cos_left, self.sin_left = np.cos(self.left), np.sin(self.left)
         partial, fa, fb = _cell_masses(logs, self.width, logs.max())
         mass = np.cumsum(partial[:, -1])
         self.cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
@@ -182,8 +231,8 @@ class _InverseCDF:
         self.guide = np.repeat(np.arange(left.size),
                                np.diff(np.ceil(self.cdf * steps).astype(np.intp)))
 
-    def angles(self, u: np.ndarray) -> np.ndarray:
-        """phi at CDF values u in [0, 1)."""
+    def _locate(self, u: np.ndarray):
+        """Cell j and offset d = phi - left[j] of the CDF values u in [0, 1)."""
         j = self.guide.take((u * self.guide.size).astype(np.intp))
         j += u >= self.upper.take(j)
         far = u >= self.upper.take(j)  # steps of u holding several edges: tails, empty cells
@@ -192,7 +241,12 @@ class _InverseCDF:
         q, lo = (u - self.cdf.take(j)) * self.inv_mass.take(j), self.lo.take(j)
         y = 2.0 * q / (lo + np.sqrt(np.maximum(self.lo_sq.take(j) + self.tilt4.take(j) * q, 0.0))
                        + 1e-300)
-        return self.left.take(j) + self.width.take(j) * y
+        return j, self.width.take(j) * y
+
+    def cos_sin(self, u: np.ndarray):
+        """cos phi and sin phi at CDF values u in [0, 1), from the cell edges."""
+        j, d = self._locate(u)
+        return _rotate(self.cos_left.take(j), self.sin_left.take(j), d)
 
 
 @dataclass(frozen=True)
@@ -339,26 +393,23 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
     p = config.p
     if config.kappa == 0.0:
         return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
-    phi = config.table.angles(gen.random(n))
+    t, s = config.table.cos_sin(gen.random(n))
     if p == 3:
         # (-s sin w, s cos w, t) written column by column into one array;
         # negating the product is exact, so the bits are those of -s * sin w
         points = np.empty((n, 3))
-        s = np.sin(phi)
-        np.cos(phi, out=points[:, 2])
-        w = gen.random(n)
-        w *= 2.0 * math.pi
+        points[:, 2] = t
+        cos_w, sin_w = _circle(gen.random(n))
         x, y = points[:, 0], points[:, 1]
-        np.sin(w, out=x)
-        np.multiply(x, s, out=x)
+        np.multiply(sin_w, s, out=x)
         np.negative(x, out=x)
-        np.cos(w, out=y)
-        np.multiply(y, s, out=y)
+        np.multiply(cos_w, s, out=y)
         return SphericalSample(p, n, points)
-    t, s = np.cos(phi), np.sin(phi)
     if p == 2:
-        return SphericalSample(p, n, np.column_stack(
-            [(1.0 - 2.0 * gen.integers(0, 2, size=n)) * s, t]))
+        points = np.empty((n, 2))
+        np.multiply(1.0 - 2.0 * gen.integers(0, 2, size=n), s, out=points[:, 0])
+        points[:, 1] = t
+        return SphericalSample(p, n, points)
     points = _normalized_gaussians(gen, n, p, tangent=True)
     points *= s[:, None]
     points[:, -1] = t

@@ -3,15 +3,17 @@
 Frozen reference values come from tests/oracles/rotsym_oracle.py (mpmath
 adaptive quadrature at 30 digits).  The inverse-CDF sampler is checked
 against quadrature CDFs and moments computed here in log space with
-scipy, against closed forms for vMF at p = 3 (Wood 1994), and against
-the rejection sampler in tests/oracles/rotsym_sampler_oracle.py.
+scipy, against closed forms for vMF at p = 3 (Wood 1994) and p = 2
+(Bessel ratios), and against the rejection sampler in
+tests/oracles/rotsym_sampler_oracle.py.  Its cos and sin by angle
+addition are checked against np.longdouble and libm references.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from oracles import rotsym_sampler_oracle
 from oracles.normalizing_constant_oracle import normalizing_constant
@@ -339,6 +341,7 @@ def _check_moments(s, reference):
         assert abs(float(np.mean(t**m)) - target) < 5.0 * se + 1e-12, m
 
 
+_EPS = np.finfo(float).eps
 KS_CASES = [(p, name, kappa)
             for p in (2, 3, 10, 20)
             for name in ("vmf", "watson", "power3", "cauchy")
@@ -350,8 +353,11 @@ def test_table_kolmogorov_distance(p, name, kappa):
     # the table's law against a quadrature CDF: for a monotone inverse CDF
     # Q, sup_x |P[Q(U) <= x] - F(x)| = sup_u |F(Q(u)) - u|; it is probed at
     # quarter points of cells (where the within-cell error peaks), on a
-    # grid, and in both tails
+    # grid, and in both tails.  The same probes check cos_sin against libm
+    # at phi = left[j] + d, in cells at most pi/32 wide, where its Taylor
+    # polynomials hold (the equal cells' edges round to the spacing of pi)
     table = rotsym.RotSymConfig(p=p, kappa=kappa, f=_profile(name)).table
+    assert table.width.max() <= math.pi / 32 + np.spacing(math.pi)
     cdf = table.cdf
     gen = np.random.default_rng(17)
     cells = gen.choice(cdf.size - 1, size=min(150, cdf.size - 1), replace=False)
@@ -359,9 +365,74 @@ def test_table_kolmogorov_distance(p, name, kappa):
         (cdf[cells, None] + np.diff(cdf)[cells, None] * [0.25, 0.5, 0.75]).ravel(),
         np.linspace(0.0, 1.0, 101)[1:-1], [1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9]])
     u = np.sort(u[(u > 0.0) & (u < 1.0)])
-    phi = table.angles(u)
+    j, d = table._locate(u)
+    phi = table.left[j] + d
+    cos, sin = table.cos_sin(u)
+    assert np.max(np.abs(cos - np.cos(phi))) <= 2.0 * _EPS
+    assert np.max(np.abs(sin - np.sin(phi))) <= 2.0 * _EPS
     assert np.all(np.diff(phi) >= -1e-12)
     assert np.max(np.abs(_quad_cdf_phi(p, kappa, name, phi) - u)) <= 1e-7
+
+
+def test_rotate_against_longdouble():
+    # angle addition with Taylor polynomials for sin d and cos d - 1,
+    # over every base angle and cell offset the tables can hand it
+    gen = np.random.default_rng(31)
+    a = np.concatenate([gen.uniform(0.0, math.pi, 100_000), [0.0, math.pi / 2, math.pi]])
+    d = np.concatenate([gen.uniform(-math.pi / 32, math.pi / 32, 100_000),
+                        [math.pi / 32, -math.pi / 32, math.pi / 32]])
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    cos, sin = rotsym._rotate(cos_a, sin_a, d)
+    dl = d.astype(np.longdouble)
+    cos_dl, sin_dl = np.cos(dl), np.sin(dl)
+    assert np.max(np.abs(cos - (cos_a * cos_dl - sin_a * sin_dl))) <= _EPS
+    assert np.max(np.abs(sin - (sin_a * cos_dl + cos_a * sin_dl))) <= _EPS
+
+
+def test_circle_against_longdouble():
+    # the step angles are taken in (-pi, pi]: over [0, 2 pi) they round
+    # twice as far, and the circle's error reaches 2.9 eps
+    gen = np.random.default_rng(32)
+    steps = np.arange(1024) / 1024
+    u = np.concatenate([gen.random(200_000), steps, steps + 0.5 / 1024, [1.0 - 2.0**-53]])
+    cos, sin = rotsym._circle(u)
+    w = 2.0 * np.arccos(np.longdouble(-1.0)) * u.astype(np.longdouble)
+    assert np.max(np.abs(cos - np.cos(w))) <= 2.0 * _EPS
+    assert np.max(np.abs(sin - np.sin(w))) <= 2.0 * _EPS
+
+
+@pytest.mark.parametrize("p", [2, 3, 20])
+def test_sampled_cos_sin_on_the_unit_circle(p):
+    # t and s of a sample, drawn as sample_rotsym draws them
+    cfg = rotsym.RotSymConfig(p=p, kappa=2.0, f=rotsym.vmf(), seed=34)
+    n = 100_000
+    t, s = cfg.table.cos_sin(rng.stream(34, 0).random(n))
+    points = rotsym.sample_rotsym(cfg, n).points
+    np.testing.assert_array_equal(points[:, -1], t)
+    if p == 2:
+        np.testing.assert_array_equal(np.abs(points[:, 0]), s)
+    assert np.max(np.abs(t * t + s * s - 1.0)) <= 4.0 * _EPS
+
+
+@pytest.mark.parametrize("kappa", [0.5, 4.0, 50.0])
+def test_p2_vmf_chebyshev_moments_closed_form(kappa):
+    # p = 2 vMF: E[T_k(t)] = E[cos k phi] = I_k(kappa) / I_0(kappa)
+    cfg = rotsym.RotSymConfig(p=2, kappa=kappa, f=rotsym.vmf(), seed=35)
+    t = rotsym.sample_rotsym(cfg, 200_000).points[:, -1]
+    for k in (1, 2, 3, 4):
+        tk = special.eval_chebyt(k, t)
+        se = float(np.std(tk)) / math.sqrt(t.size)
+        exact = special.ive(k, kappa) / special.ive(0, kappa)
+        assert abs(float(np.mean(tk)) - exact) < 5.0 * se, k
+
+
+@pytest.mark.parametrize("kappa", [0.05, 1.0, 10.0, 100.0])
+def test_p3_vmf_mean_closed_form(kappa):
+    # p = 3 vMF: E[t] = coth kappa - 1/kappa
+    cfg = rotsym.RotSymConfig(p=3, kappa=kappa, f=rotsym.vmf(), seed=36)
+    t = rotsym.sample_rotsym(cfg, 200_000).points[:, -1]
+    se = float(np.std(t)) / math.sqrt(t.size)
+    assert abs(float(np.mean(t)) - (1.0 / math.tanh(kappa) - 1.0 / kappa)) < 5.0 * se
 
 
 def _ks_reference_cdf(p, kappa, name):

@@ -4,10 +4,11 @@ The golden experiment CSVs pin only the decisions of each replicate.
 `tests/golden/sampler_bits.json` pins the bits under them: for every
 sampler config below and every (seed, replicate), the sha256 of the
 points of `sample_rotsym` (after `+ 0.0`, which folds -0.0 into 0.0)
-and `float.hex` of `stat_harmonic` at degrees 1-4 on that sample.  Like
-the CSVs, the file changes only with a bump of
-`sobotest.rng.STREAM_VERSION` (protocol in tests/test_stream_golden.py).
-It is written by
+and `float.hex` of `stat_harmonic` at degrees 1-4 on that sample.  The
+file records the `sobotest.rng.STREAM_VERSION` it was written under, and
+like the CSVs it changes only with a bump of that version (protocol in
+tests/test_stream_golden.py): a change that moves a point by one ulp
+moves its digest, even when no decision moves.  It is written by
 
     PYTHONPATH=src python3 tests/test_sampler_bits.py
 """
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from sobotest.rng import STREAM_VERSION
 from sobotest.rotsym import RotSymConfig, cauchy, sample_rotsym, vmf, watson
 from sobotest.sobolev import WeightSequence, stat_harmonic
 
@@ -47,9 +49,14 @@ def _digests(p, name, kappa):
     return out
 
 
+def test_fixture_matches_stream_version():
+    assert json.loads(GOLDEN.read_text())["stream_version"] == STREAM_VERSION, (
+        "STREAM_VERSION moved: regenerate tests/golden/sampler_bits.json")
+
+
 @pytest.mark.parametrize("p,name,kappa", CONFIGS)
 def test_sampler_and_statistic_bits(p, name, kappa):
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text())["digests"]
     assert _digests(p, name, kappa) == {
         key: value for key, value in golden.items() if key.startswith(f"p{p}_{name}_{kappa!r}_")}
 
@@ -58,4 +65,5 @@ if __name__ == "__main__":
     table = {}
     for cfg in CONFIGS:
         table.update(_digests(*cfg))
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps({"stream_version": STREAM_VERSION, "digests": table},
+                                 indent=1, sort_keys=True) + "\n")

@@ -7,7 +7,9 @@ a Watson alternative, a p = 20 multi-term config whose tests mix
 degrees 1-3, and the three named tests at p = 2, where the harmonics
 are Chebyshev polynomials.  Version 2 (the inverse-CDF sampler) added
 tau = 14 to the p = 20 config.  Version 3: one sample per cell and
-replicate for every test; it added the p = 2 config.
+replicate for every test; it added the p = 2 config.  Version 4: the
+sampler's cos/sin by angle addition; points move by a few ulp, no golden
+row moved.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -34,7 +36,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 3
+FIXTURE_STREAM_VERSION = 4
 
 _README_GRID = dict(
     p=3,
