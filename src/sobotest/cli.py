@@ -5,8 +5,8 @@ Subcommands: test (single-sample uniformity test from a CSV), simulate
 experiment from a config file), asymptotic (asymptotic power curve CSV),
 classify (detection-threshold report), plot (power table CSV to SVG).
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 data or validation error (or
+not enough memory for the request), 3 numerical error.
 """
 
 import argparse
@@ -165,6 +165,10 @@ def cli(argv) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

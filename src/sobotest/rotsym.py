@@ -269,6 +269,13 @@ class RotSymConfig:
             object.__setattr__(self, "table", _InverseCDF(self.p, self.kappa, self.f))
 
 
+def _check_unit_norms(points: np.ndarray) -> None:
+    """Raise ValueError unless every row of the (n, p) array has norm
+    within _NORM_TOL of 1."""
+    if np.any(np.abs(np.linalg.norm(points, axis=1) - 1.0) > _NORM_TOL):
+        raise ValueError("all points must have unit norm (tolerance 1e-8)")
+
+
 @dataclass(frozen=True)
 class SphericalSample:
     """n unit vectors in R^p, one per row."""
@@ -282,9 +289,7 @@ class SphericalSample:
         points = np.ascontiguousarray(np.asarray(points, dtype=float))
         if points.ndim != 2 or points.shape[1] < 2:
             raise ValueError("points must form an (n, p) array with p >= 2")
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(np.abs(norms - 1.0) > _NORM_TOL):
-            raise ValueError("all points must have unit norm (tolerance 1e-8)")
+        _check_unit_norms(points)
         points.setflags(write=False)
         return cls(points.shape[1], points.shape[0], points)
 
@@ -341,13 +346,9 @@ def gegenbauer_expectation_oracle(p: int, kappa: float, f: AngularFunction,
 
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
     """n independent uniform draws on the sphere in R^p (normalized
-    Gaussians), from the counter-based stream (seed, replicate)."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    gen = rng.stream(seed, replicate)
-    return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
+    Gaussians), from the counter-based stream (seed, replicate): the
+    kappa = 0 draw of sample_rotsym."""
+    return sample_rotsym(RotSymConfig(p, 0.0, vmf(), seed), n, replicate)
 
 
 def _normalized_gaussians(gen, n: int, p: int, tangent: bool = False) -> np.ndarray:

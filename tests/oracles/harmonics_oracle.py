@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sobotest.harmonics import _POLE_EPS, _check_points, addition_kernel, basis_matrix
+from sobotest.harmonics import addition_kernel, basis_matrix
+from sobotest.rotsym import _check_unit_norms
 
 __all__ = [
     "HarmonicVector",
@@ -21,6 +22,9 @@ __all__ = [
     "basis_matrix",
     "addition_kernel",
 ]
+
+# below this radius the chart's lower angles are undetermined and set to 0
+_POLE_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ def to_hyperspherical(x) -> np.ndarray:
     if x.ndim != 1 or x.size < 2:
         raise ValueError("expected a single point in R^p, p >= 2")
     p = x.size
-    _check_points(x[None, :])
+    _check_unit_norms(x[None, :])
     theta = np.zeros(p - 1)
     radial = 1.0
     for a in range(p - 1, 1, -1):

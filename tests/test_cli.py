@@ -261,3 +261,21 @@ def test_numerical_errors_exit_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "test", str(sample))
     assert code == 3
     assert "numerical error" in err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a request too large for memory, e.g. a degree-13 weight on a p = 20
+    # sample (d_{20,13} ~ 3e8 basis columns), is a data error, not a
+    # traceback with the usage code
+    sample = tmp_path / "s.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "10", "--out", str(sample))
+
+    for message, want in (("Unable to allocate 2.13 TiB", "error: out of memory: Unable to allocate 2.13 TiB"),
+                          ("", "error: out of memory")):
+        def exhaust(*args, message=message, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "run_test", exhaust)
+        code, out, err = run(capsys, "test", str(sample))
+        assert code == 2
+        assert out == "" and err.strip() == want

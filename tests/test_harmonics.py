@@ -1,10 +1,14 @@
 """Tests for the orthonormal harmonic basis.
 
 Independent references: scipy.special.sph_harm for p = 3, Monte Carlo
-orthonormality, and a product-quadrature Funk-Hecke identity check.
+orthonormality, a product-quadrature Funk-Hecke identity check, and the
+columns of the earlier hyperspherical-chart construction, kept in
+tests/golden/basis_columns.json.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from scipy.special import sph_harm_y
 
 from oracles import harmonics_oracle as harmonics
 from sobotest import specfun
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "basis_columns.json"
 
 
 def _random_sphere(rng, n, p):
@@ -71,28 +77,62 @@ def test_basis_p3_k1_is_scaled_coordinates():
     np.testing.assert_allclose(G, math.sqrt(3.0) * X[:, ::-1], atol=1e-12)
 
 
+# (p, degrees, n): every degree at small p, and the degrees >= 5 that the
+# harmonic statistic builds a basis for at high p (d_{20,6} = 168245)
+HIGH_P = [(10, (5, 6), 50), (20, (5, 6), 20)]
+
+
 def test_norm_square_equals_dimension():
     rng = np.random.default_rng(11)
-    for p in (2, 3, 4, 5):
-        X = _random_sphere(rng, 200, p)
-        for k in range(1, 7):
+    for p, ks, n in [(p, range(1, 7), 200) for p in (2, 3, 4, 5)] + HIGH_P:
+        X = _random_sphere(rng, n, p)
+        for k in ks:
             G = harmonics.basis_matrix(p, k, X)
             d = specfun.harmonic_dim(p, k)
             np.testing.assert_allclose(np.einsum("ij,ij->i", G, G), d, rtol=1e-9)
 
 
+def test_basis_is_homogeneous_of_degree_k():
+    # every column is a polynomial of degree k: scaling a row by c (inside
+    # the 1e-8 norm tolerance) scales its values by c^k
+    rng = np.random.default_rng(29)
+    c = 1.0 + 4e-9
+    for p in (2, 3, 7):
+        X = _random_sphere(rng, 20, p)
+        for k in (1, 4, 9):
+            np.testing.assert_allclose(harmonics.basis_matrix(p, k, c * X),
+                                       c**k * harmonics.basis_matrix(p, k, X), rtol=1e-12, atol=1e-12)
+
+
 def test_addition_formula():
     rng = np.random.default_rng(5)
-    for p in (2, 3, 4, 5):
-        U = _random_sphere(rng, 100, p)
-        V = _random_sphere(rng, 100, p)
+    for p, ks, n in [(p, range(1, 7), 100) for p in (2, 3, 4, 5)] + HIGH_P:
+        U = _random_sphere(rng, n, p)
+        V = _random_sphere(rng, n, p)
         s = np.einsum("ij,ij->i", U, V)
-        for k in range(1, 7):
+        for k in ks:
             gu = harmonics.basis_matrix(p, k, U)
             gv = harmonics.basis_matrix(p, k, V)
             lhs = np.einsum("ij,ij->i", gu, gv)
             rhs = harmonics.addition_kernel(p, k, s)
             np.testing.assert_allclose(lhs, rhs, atol=1e-9 * specfun.harmonic_dim(p, k))
+
+
+def test_basis_columns_match_golden():
+    # the checks above are rotation invariant, so they cannot see the
+    # order or the signs of the columns; tests/golden/basis_columns.json
+    # holds float.hex of basis_matrix(p, k, X) at three points for
+    # p = 4, 5, 6, written by the hyperspherical-chart construction that
+    # the solid-harmonic recursion replaced
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+    assert [(c["p"], c["k"]) for c in cases] == [(4, 3), (5, 5), (6, 4)]
+    for case in cases:
+        p, k = case["p"], case["k"]
+        X = np.array([[float.fromhex(v) for v in row] for row in case["points"]])
+        want = np.array([[float.fromhex(v) for v in row] for row in case["basis"]])
+        assert want.shape == (3, specfun.harmonic_dim(p, k))
+        np.testing.assert_allclose(harmonics.basis_matrix(p, k, X), want, rtol=0,
+                                   atol=1e-13 * math.sqrt(want.shape[1]))
 
 
 def test_against_scipy_spherical_harmonics():
