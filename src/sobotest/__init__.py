@@ -44,8 +44,6 @@ from .rotsym import (
 from .sobolev import (
     TestResult,
     WeightSequence,
-    bingham_stat,
-    rayleigh_stat,
     run_test,
     stat_harmonic,
     stat_kernel,
@@ -97,8 +95,6 @@ __all__ = [
     "power_curve_csv",
     "run_power_experiment",
     "run_test",
-    "bingham_stat",
-    "rayleigh_stat",
     "sample_rotsym",
     "sample_uniform",
     "save_csv",

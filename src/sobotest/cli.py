@@ -14,6 +14,7 @@ import sys
 
 from .asymptotics import classify_threshold, limit_law, power_curve_csv
 from .harness import (
+    _ANGULAR_FUNCTIONS,
     ExperimentConfig,
     PowerTable,
     angular_function,
@@ -23,8 +24,6 @@ from .harness import (
 from .rotsym import RotSymConfig, load_csv, sample_rotsym, save_csv
 from .sobolev import run_test
 from .svgplot import emit_svg
-
-_F_CHOICES = ("vmf", "watson", "power", "cauchy")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--kappa", type=float, default=0.0)
-    s.add_argument("--f", default="vmf", choices=_F_CHOICES)
+    s.add_argument("--f", default="vmf", choices=tuple(_ANGULAR_FUNCTIONS))
     s.add_argument("--b", type=int, default=3,
                    help="exponent for the power angular function")
     s.add_argument("--seed", type=int, default=0)
@@ -57,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("asymptotic", help="asymptotic power curve CSV")
     a.add_argument("--weights", required=True)
-    a.add_argument("--f", required=True, choices=_F_CHOICES)
+    a.add_argument("--f", required=True, choices=tuple(_ANGULAR_FUNCTIONS))
     a.add_argument("--b", type=int, default=3)
     a.add_argument("--p", type=int, required=True)
     a.add_argument("--taus", default="0,0.5,1,1.5,2,2.5,3,3.5,4,4.5,5,5.5,6")
@@ -68,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="detection-threshold report")
     c.add_argument("--weights", required=True)
-    c.add_argument("--f", required=True, choices=_F_CHOICES)
+    c.add_argument("--f", required=True, choices=tuple(_ANGULAR_FUNCTIONS))
     c.add_argument("--b", type=int, default=3)
     c.add_argument("--order", type=int, default=12)
 

@@ -36,18 +36,18 @@ _NAMED_TESTS = {
 }
 
 
+# angular function ids in the order the CLI lists them; power takes its exponent b
+_ANGULAR_FUNCTIONS = {"vmf": lambda b: vmf(), "watson": lambda b: watson(),
+                      "power": power, "cauchy": lambda b: cauchy()}
+
+
 def angular_function(f_id: str, b: int = 3) -> AngularFunction:
     """Resolve an angular function id; `power` takes its exponent from b."""
-    if f_id == "vmf":
-        return vmf()
-    if f_id == "watson":
-        return watson()
-    if f_id == "cauchy":
-        return cauchy()
-    if f_id == "power":
-        return power(b)
-    raise ValueError(f"unknown angular function {f_id!r}; "
-                     "expected vmf, watson, power, or cauchy")
+    if f_id not in _ANGULAR_FUNCTIONS:
+        *ids, last = _ANGULAR_FUNCTIONS
+        raise ValueError(f"unknown angular function {f_id!r}; "
+                         f"expected {', '.join(ids)}, or {last}")
+    return _ANGULAR_FUNCTIONS[f_id](b)
 
 
 def parse_weights(text: str) -> WeightSequence:

@@ -6,7 +6,8 @@ The harmonic form takes each active degree k by one of two routes, fixed
 by k alone.  Degrees 1-4 come from moment power sums
 S_m = sum_ij (u_i'u_j)^m = ||sum_i u_i^(x)m||^2, m <= k, built by a few
 matrix products over the (n, p) sample with no harmonic basis; degrees
-5 and up sum the columns of the n x d_{p,k} orthonormal basis."""
+5 and up sum the columns of the d_{p,k}-column orthonormal basis over
+row slices of the sample, so memory does not grow with n."""
 
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ __all__ = [
     "stat_kernel",
     "stat_harmonic",
     "stat_harmonics",
-    "rayleigh_stat",
-    "bingham_stat",
     "run_test",
 ]
 
@@ -40,7 +39,8 @@ _TRUNC_K_MAX = 600
 # degrees up to this one are summed from moment power sums, higher ones
 # from the columns of the harmonic basis
 _POWER_SUM_MAX_DEGREE = 4
-# entries per block of points of the pairwise-product matrix W
+# entries per block of points of the pairwise-product matrix W; a slice
+# of the degree k >= 5 basis has at most 4 times as many
 _FEATURE_BLOCK = 1 << 20
 
 
@@ -64,6 +64,10 @@ class WeightSequence:
             raise ValueError("provide exactly one of values or rule")
         if values is not None:
             values = tuple(float(v) for v in values)
+            for v in values:
+                # the weights enter squared: v^2 must neither overflow nor underflow to 0
+                if not (math.isfinite(v * v) and (v == 0.0 or v * v > 0.0)):
+                    raise ValueError(f"weight {v!r} must be 0 or have a finite, nonzero square")
             if not values or not any(values):
                 raise ValueError("finite weight vectors need a nonzero entry")
         self._values = values
@@ -264,7 +268,8 @@ def stat_harmonics(sample: SphericalSample, weight_list) -> list:
 
     One _centered_power_sums call serves the orders of every sequence's
     degrees k <= 4, and each degree k >= 5 sums the columns of
-    basis_matrix(p, k, X) once.  Each P_m and each column sum comes out
+    basis_matrix(p, k, X[i:i + rows]) once over row slices of at most
+    4 _FEATURE_BLOCK entries.  Each P_m and each column sum comes out
     the same whatever else is requested, so every statistic has the bits
     it has alone."""
     X = sample.points
@@ -275,7 +280,8 @@ def stat_harmonics(sample: SphericalSample, weight_list) -> list:
                                     if k <= _POWER_SUM_MAX_DEGREE for m in range(k, 0, -2)})
     column_sums = {}
     for k in {k for degrees in degree_lists for k in degrees if k > _POWER_SUM_MAX_DEGREE}:
-        col = basis_matrix(p, k, X).sum(axis=0)
+        rows = max(1, 4 * _FEATURE_BLOCK // harmonic_dim(p, k))
+        col = sum(basis_matrix(p, k, X[i:i + rows]).sum(axis=0) for i in range(0, n, rows))
         column_sums[k] = float(col @ col)
     stats = []
     for weights, degrees in zip(weight_list, degree_lists):
@@ -297,25 +303,11 @@ def stat_harmonic(sample: SphericalSample, weights: WeightSequence) -> float:
 
     A degree k <= 4 is (1/n) sum_m a_{k,m} P_m over m = k, k-2, ... >= 1,
     from the centered power sums of _centered_power_sums; no basis is
-    built.  A degree k >= 5 sums the columns of basis_matrix(p, k, X).
-    The two routes agree with stat_kernel and with each other within a
-    relative 1e-11; measured at most 1.2e-13 for n <= 5000, p <= 30."""
+    built.  A degree k >= 5 sums the columns of basis_matrix(p, k, X)
+    over row slices.  The two routes agree with stat_kernel and with each
+    other within a relative 1e-11; measured at most 1.2e-13 for n <= 5000,
+    p <= 30."""
     return stat_harmonics(sample, [weights])[0]
-
-
-def rayleigh_stat(sample: SphericalSample) -> float:
-    """n p ||mean||^2; the harmonic statistic with all weight on degree 1."""
-    mean = sample.points.mean(axis=0)
-    return sample.n * sample.p * float(mean @ mean)
-
-
-def bingham_stat(sample: SphericalSample) -> float:
-    """n p(p+2)/2 tr[(S - I/p)^2] for the scatter S; the harmonic statistic
-    with all weight on degree 2."""
-    p = sample.p
-    scatter = sample.points.T @ sample.points / sample.n
-    centered = scatter - np.eye(p) / p
-    return sample.n * p * (p + 2) / 2.0 * float(np.sum(centered * centered))
 
 
 @dataclass(frozen=True)

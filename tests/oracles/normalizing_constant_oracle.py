@@ -1,16 +1,19 @@
 """Normalizing constant of a rotationally symmetric law, a reference that
 only the tests use: they check it against the frozen mpmath values of
 tests/oracles/rotsym_oracle.py.  It integrates with the package's own
-Gauss-Jacobi quadrature (`sobotest.rotsym._adaptive_integral`) in the
-log-space scaling of `_scaled_profile`.
+Gauss-Jacobi quadrature (`_adaptive_integral` of
+tests/oracles/rotsym_moments_oracle.py) in the log-space scaling of its
+`_scaled_profile`.
 
 Imported by the tests as `from oracles.normalizing_constant_oracle import ...`.
 """
 
 import math
 
-from sobotest.rotsym import AngularFunction, _adaptive_integral, _scaled_profile
+from sobotest.rotsym import AngularFunction
 from sobotest.specfun import surface_constant
+
+from oracles.rotsym_moments_oracle import _adaptive_integral, _scaled_profile
 
 __all__ = ["normalizing_constant"]
 

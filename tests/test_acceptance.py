@@ -27,18 +27,18 @@ from sobotest.asymptotics import (
 )
 from sobotest.harness import ExperimentConfig, run_power_experiment
 from sobotest.harmonics import addition_kernel, basis_matrix
-from sobotest.rotsym import cauchy, power, t_moment_oracle, vmf, watson
+from sobotest.rotsym import cauchy, power, vmf, watson
 from sobotest.rotsym import SphericalSample, sample_uniform
 from sobotest.sobolev import (
     WeightSequence,
-    bingham_stat,
-    rayleigh_stat,
     stat_harmonic,
     stat_kernel,
 )
 from sobotest import specfun
 
 from oracles.chi2_series_oracle import noncentral_chi2_sf
+from oracles.rotsym_moments_oracle import t_moment_oracle
+from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
 
 pytestmark = pytest.mark.acceptance
 

@@ -26,18 +26,12 @@ from sobotest.asymptotics import (
     power_curve_csv,
 )
 from sobotest.harness import parse_weights
-from sobotest.rotsym import (
-    cauchy,
-    gegenbauer_expectation_oracle,
-    power,
-    t_moment_oracle,
-    vmf,
-    watson,
-)
+from sobotest.rotsym import cauchy, power, vmf, watson
 from sobotest.sobolev import WeightSequence
 from sobotest.specfun import harmonic_dim, t_factor
 
 from oracles.chi2_series_oracle import noncentral_chi2_cdf, noncentral_chi2_sf, series_bound
+from oracles.rotsym_moments_oracle import gegenbauer_expectation_oracle, t_moment_oracle
 
 BUILTINS = {
     "vmf": vmf(),

@@ -235,6 +235,20 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert empty_taus[0] == 2
 
 
+@pytest.mark.parametrize("weights", ["nan", "inf", "1e200", "1e-200"])
+def test_weights_without_a_usable_square_exit_2(tmp_path, capsys, weights):
+    # NaN, an infinity, a square that overflows and one that underflows
+    # to 0 are data errors that name the weight
+    sample = tmp_path / "s.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "50", "--out", str(sample))
+    code, out, err = run(capsys, "test", str(sample), "--weights", weights)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert repr(float(weights)) in lines[0]
+
+
 def test_norm_tolerance_exit_codes(tmp_path, capsys):
     # norms within the sample's 1e-8 contract pass on both statistic
     # routes (degree 1 from power sums, degree 5 from the basis); beyond

@@ -73,7 +73,7 @@ def test_angular_function_ids():
     assert angular_function("watson").name == "watson"
     assert angular_function("cauchy").name == "cauchy"
     assert angular_function("power", 4).name == "power_4"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected vmf, watson, power, or cauchy$"):
         angular_function("fisher")
 
 

@@ -17,6 +17,7 @@ from scipy import integrate, special, stats
 
 from oracles import rotsym_sampler_oracle
 from oracles.normalizing_constant_oracle import normalizing_constant
+from oracles.rotsym_moments_oracle import gegenbauer_expectation_oracle, t_moment_oracle
 from sobotest import rng, rotsym
 from sobotest.cli import cli
 
@@ -85,14 +86,14 @@ def test_normalizing_constants():
 
 def test_t_moment_oracle_values():
     for p, kappa, name, expected in FIRST_MOMENTS:
-        got = rotsym.t_moment_oracle(p, kappa, _profile(name), 1)
+        got = t_moment_oracle(p, kappa, _profile(name), 1)
         assert got == pytest.approx(expected, abs=1e-10)
     for p, kappa, name, m, expected in HIGHER_MOMENTS:
-        got = rotsym.t_moment_oracle(p, kappa, _profile(name), m)
+        got = t_moment_oracle(p, kappa, _profile(name), m)
         assert got == pytest.approx(expected, rel=1e-10)
     # kappa = 0: uniform moments
-    assert rotsym.t_moment_oracle(5, 0.0, rotsym.vmf(), 2) == pytest.approx(1 / 5)
-    assert rotsym.t_moment_oracle(5, 0.0, rotsym.vmf(), 3) == pytest.approx(0.0, abs=1e-14)
+    assert t_moment_oracle(5, 0.0, rotsym.vmf(), 2) == pytest.approx(1 / 5)
+    assert t_moment_oracle(5, 0.0, rotsym.vmf(), 3) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_quadrature_oracles_at_large_kappa():
@@ -100,8 +101,8 @@ def test_quadrature_oracles_at_large_kappa():
     # E[t] = coth(kappa) - 1 / kappa, and C_1(t) = t there
     for kappa in (100.0, 800.0, 2000.0):
         ref = 1.0 / math.tanh(kappa) - 1.0 / kappa
-        assert rotsym.t_moment_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(ref, rel=1e-12)
-        assert rotsym.gegenbauer_expectation_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(
+        assert t_moment_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(ref, rel=1e-12)
+        assert gegenbauer_expectation_oracle(3, kappa, rotsym.vmf(), 1) == pytest.approx(
             ref, rel=1e-12)
     # the constant itself, kappa / (2 sinh kappa), is below the smallest double
     assert normalizing_constant(3, 800.0, rotsym.vmf()) == 0.0
@@ -151,7 +152,7 @@ def test_sampler_moments_match_oracle(p, kappa, name):
     s = rotsym.sample_rotsym(cfg, n)
     t = s.points[:, -1]
     for m in (1, 2, 3, 4):
-        target = rotsym.t_moment_oracle(p, kappa, f, m)
+        target = t_moment_oracle(p, kappa, f, m)
         se = float(np.std(t**m)) / math.sqrt(n)
         assert abs(float(np.mean(t**m)) - target) < 5.0 * se + 1e-12
 
@@ -161,7 +162,7 @@ def test_kappa_zero_matches_uniform_moments():
     s = rotsym.sample_rotsym(cfg, 200_000)
     t = s.points[:, -1]
     for m in (1, 2, 3, 4):
-        target = rotsym.t_moment_oracle(3, 0.0, rotsym.vmf(), m)
+        target = t_moment_oracle(3, 0.0, rotsym.vmf(), m)
         se = float(np.std(t**m)) / math.sqrt(s.n) + 1e-12
         assert abs(float(np.mean(t**m)) - target) < 5.0 * se
 

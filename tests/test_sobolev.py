@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +13,14 @@ from sobotest.rotsym import RotSymConfig, SphericalSample, sample_rotsym, sample
 from sobotest.sobolev import (
     TestResult,
     WeightSequence,
-    bingham_stat,
-    rayleigh_stat,
     run_test,
     stat_harmonic,
     stat_harmonics,
     stat_kernel,
 )
 from sobotest.specfun import _gegen_poly_exact, gegenbauer_eval, harmonic_dim
+
+from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
 
 
 class _Chi2Law:
@@ -83,6 +85,14 @@ def test_weight_sequence_validation():
         WeightSequence.delta(0)
     with pytest.raises(ValueError):
         WeightSequence.delta(1).weight(0)
+    # the weights enter squared: a NaN or infinite one, one whose square
+    # overflows (1e200) or one whose square underflows to 0 (1e-200) is
+    # named in the error, before any law or statistic sees it
+    for v in (math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match=re.escape(repr(v))):
+            WeightSequence.finite([1.0, v])
+    w = WeightSequence.finite([1e-150, 0.0, -0.0, 1e150])
+    assert w.support_through(4) == [1, 4]
 
 
 def test_truncation_geometric_rule():
@@ -304,18 +314,37 @@ def test_power_sum_route_matches_basis_and_kernel(p, n):
 @pytest.mark.parametrize("p,n", [(3, 500), (20, 40)])
 def test_mixed_degrees_take_both_routes(p, n, monkeypatch):
     # degrees 1 and 3 from power sums, 5 and 6 from the basis, in one call
+    # over row slices that cover the sample once, each of at most
+    # 4 _FEATURE_BLOCK entries (at p = 20, n = 40 degree 6 takes two)
     calls = []
 
     def recording_basis(p_, k, X):
-        calls.append(k)
+        calls.append((k, X.shape[0]))
         return basis_matrix(p_, k, X)
 
     monkeypatch.setattr(sobolev, "basis_matrix", recording_basis)
     sample = sample_uniform(p, n, seed=33)
     w = WeightSequence.finite([1, 0, 0.5, 0, 0.3, 0.2])
     got = stat_harmonic(sample, w)
-    assert sorted(calls) == [5, 6]
+    assert {k for k, _ in calls} == {5, 6}
+    for k in (5, 6):
+        rows = [r for kk, r in calls if kk == k]
+        assert sum(rows) == n
+        assert max(rows) * harmonic_dim(p, k) <= 4 * sobolev._FEATURE_BLOCK
     assert got == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+
+
+def test_high_degree_memory_does_not_grow_with_n():
+    # d_{10,6} = 4290: the n x d basis of n = 4000 points alone would be
+    # 131 MiB; summed over row slices the traced peak stays below 64 MiB
+    sample = sample_uniform(10, 4000, seed=36)
+    tracemalloc.start()
+    try:
+        stat_harmonic(sample, WeightSequence.delta(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def _no_basis(*args):
