@@ -73,8 +73,6 @@ class ExpansionSystem:
     A: np.ndarray
     v: Optional[np.ndarray]
     z: Optional[np.ndarray]
-    m: Optional[int]
-    k: Optional[int]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Forward substitution; the unit diagonal needs no divisions."""
@@ -120,7 +118,7 @@ def expansion_system(p: int, f: AngularFunction, order: int,
             raise ValueError(f"degree must be >= 1, got {k}")
         z = np.array([monomial_to_gegenbauer(p, i)[k] * derivs[i] if i >= k else 0.0
                       for i in range(size)])
-    return ExpansionSystem(p, order, matrix, v, z, m, k)
+    return ExpansionSystem(p, order, matrix, v, z)
 
 
 def expansion_coeffs(p: int, m: int, q: int, f: AngularFunction) -> np.ndarray:
@@ -161,28 +159,9 @@ def _zonal_drift_exact(p: int, k: int, k_star: int) -> Fraction:
 def noncentrality_standard(p: int, k: int, tau: float,
                            f: AngularFunction) -> float:
     """Noncentrality of the degree-k mixture term at the threshold rate
-    n^(-1/(2k)): d_{p,k} (f^(k)(0))^2 tau^(2k) / prod_{l<k}(p+2l)^2.
-
-    The equivalent m_{k,k}-form is evaluated alongside and both must agree
-    to 1e-10 relative."""
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    fk = f.derivative_at_zero(k)
-    if fk == 0.0 or tau == 0.0:
-        return 0.0
-    prod = 1.0
-    for ell in range(k):
-        prod *= p + 2 * ell
-    value = harmonic_dim(p, k) * fk**2 * tau ** (2 * k) / prod**2
-    m_kk = monomial_to_gegenbauer(p, k)[k]
-    alt = m_kk**2 * fk**2 * tau ** (2 * k) / (
-        math.factorial(k) ** 2 * t_factor(p, k) ** 2)
-    if abs(value - alt) > _DUAL_FORM_RTOL * max(abs(value), abs(alt)):
-        raise ArithmeticError(
-            f"noncentrality closed forms disagree: {value!r} vs {alt!r}")
-    return value
+    n^(-1/(2k)): the delayed case at k_star = k, equal to
+    d_{p,k} (f^(k)(0))^2 tau^(2k) / prod_{l<k}(p+2l)^2."""
+    return noncentrality_delayed(p, k, k, tau, f)
 
 
 def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
@@ -192,7 +171,7 @@ def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
     m_{k,k_star}^2 (f^(k_star)(0))^2 tau^(2 k_star) / ((k_star!)^2 t_{p,k}^2).
 
     Also evaluated through the alternating Gegenbauer-coefficient sum and
-    checked to 1e-10 relative; reduces to noncentrality_standard at
+    checked to 1e-10 relative; noncentrality_standard is the case
     k_star = k."""
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
@@ -484,7 +463,7 @@ def limit_law(weights: WeightSequence, p: int,
     if rate_exponent is not None and rate_exponent <= 0.0:
         raise ValueError(f"rate exponent must be > 0, got {rate_exponent}")
     active = weights.active_degrees(p)
-    tail_bound = 0.0 if weights.kind == "finite" else weights.truncation(p).tail_mass
+    tail_bound = weights.truncation(p).tail_mass
     noncentral = {k: 0.0 for k in active}
     if all(given) and tau > 0.0:
         report = classify_threshold(weights, f, q)

@@ -16,6 +16,7 @@ degree k in the row, and orthonormal under the uniform law on the sphere.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = ["basis_matrix", "addition_kernel"]
 _BLOCK_BYTES = 1 << 22
 
 
+@lru_cache(maxsize=None)
 def _normalizer(q: int, m: int, t: int) -> float:
     """N(q, m, t): the block m of degree m + t on R^q is orthonormal when
     the degree-t solids on R^(q-1) are."""
@@ -50,10 +52,10 @@ def _gegen_solids(q: int, k: int, x: np.ndarray, rho2: np.ndarray) -> np.ndarray
     return out
 
 
-def _solids(X: np.ndarray, k: int, norms: dict) -> np.ndarray:
+def _solids(X: np.ndarray, k: int) -> np.ndarray:
     """Solid harmonics at the rows of X, one per row of the result:
     degrees 0..k on R^2, ..., R^(p-1), then degree k alone on R^p, whose
-    d_{p,k} rows come last.  norms[q, m, t] is _normalizer(q, m, t)."""
+    d_{p,k} rows come last."""
     cols = np.ascontiguousarray(X.T)
     x1, x2 = cols[0], cols[1]
     level = np.empty((2 * k + 1, X.shape[0]))
@@ -69,7 +71,8 @@ def _solids(X: np.ndarray, k: int, norms: dict) -> np.ndarray:
         factors = _gegen_solids(q, k, x, rho2)
         ends = np.cumsum([0] + [harmonic_dim(q - 1, t) for t in range(k + 1)])
         # block m = j - t of degree j scales the degree-t rows of the level below
-        level = np.concatenate([norms[q, j - t, t] * factors[j - t, t] * level[ends[t]:ends[t + 1]]
+        level = np.concatenate([_normalizer(q, j - t, t) * factors[j - t, t]
+                                * level[ends[t]:ends[t + 1]]
                                 for j in (range(k + 1) if q < len(cols) else (k,))
                                 for t in range(j + 1)])
     return level
@@ -88,12 +91,10 @@ def basis_matrix(p: int, k: int, X) -> np.ndarray:
     _check_unit_norms(X)
     d = harmonic_dim(p, k)
     out = np.empty((X.shape[0], d))
-    norms = {(q, m, t): _normalizer(q, m, t)
-             for q in range(3, p + 1) for t in range(k + 1) for m in range(k + 1 - t)}
     # a level, its products and the level below take at most 3 d doubles per row
     rows = max(1, _BLOCK_BYTES // (24 * d))
     for i in range(0, X.shape[0], rows):
-        out[i:i + rows] = _solids(X[i:i + rows], k, norms)[-d:].T
+        out[i:i + rows] = _solids(X[i:i + rows], k)[-d:].T
     return out
 
 

@@ -215,22 +215,15 @@ class PowerTable:
 
 
 class _Engine:
-    """Per-process experiment state: tests, null laws, sampler inputs."""
+    """Per-process experiment state: tests, their null critical values,
+    sampler inputs."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.f = angular_function(config.f_id, config.b)
-        # label rows by the parsed name: explicit weight lists get a
-        # comma-free form so the table stays CSV-safe
-        self.tests = []
-        for name in config.tests:
-            weights = parse_weights(name)
-            self.tests.append((weights.name, weights))
-        self.laws = []
-        for _, weights in self.tests:
-            law = limit_law(weights, config.p)
-            law.quantile(config.alpha)
-            self.laws.append(law)
+        self.tests = [parse_weights(name) for name in config.tests]
+        self.crits = [limit_law(weights, config.p).quantile(config.alpha)[0]
+                      for weights in self.tests]
 
     def run_cell(self, cell) -> list:
         """(rejection frequency, Monte Carlo se) of every test at cell
@@ -239,18 +232,16 @@ class _Engine:
         cfg = self.config
         tau = cfg.tau_grid[taui]
         kappa = tau * float(n) ** (-1.0 / ell)
-        weight_list = [weights for _, weights in self.tests]
-        # the decision rule of run_test (strict exceedance), without the
-        # p-value it would compute and this loop would discard
-        crits = [law.quantile(cfg.alpha)[0] for law in self.laws]
         cell_seed = int(stream(cfg.base_seed, 0, n, ell, taui).integers(
             0, 2**63 - 1))
         sampler = RotSymConfig(p=cfg.p, kappa=kappa, f=self.f, seed=cell_seed)
-        rejects = [0] * len(crits)
+        rejects = [0] * len(self.crits)
         for replicate in range(cfg.replicates):
             sample = sample_rotsym(sampler, n, replicate=replicate)
-            stats = sobolev.stat_harmonics(sample, weight_list)
-            for ti, (stat, crit) in enumerate(zip(stats, crits)):
+            stats = sobolev.stat_harmonics(sample, self.tests)
+            # the decision rule of run_test (strict exceedance), without the
+            # p-value it would compute and this loop would discard
+            for ti, (stat, crit) in enumerate(zip(stats, self.crits)):
                 rejects[ti] += stat > crit
         outcomes = []
         for count in rejects:
@@ -275,7 +266,7 @@ def _asymptotic_references(config: ExperimentConfig, engine: _Engine) -> dict:
     """Per (test index, ell): asymptotic power along the tau grid when the
     cell sits on the detection threshold, None otherwise."""
     refs = {}
-    for ti, (_, weights) in enumerate(engine.tests):
+    for ti, weights in enumerate(engine.tests):
         for ell in config.rate_exponents:
             horizon = max(1, ell // 2)
             report = classify_threshold(weights, engine.f, horizon)
@@ -293,9 +284,10 @@ def _asymptotic_references(config: ExperimentConfig, engine: _Engine) -> dict:
 def run_power_experiment(config: ExperimentConfig) -> PowerTable:
     """Rejection frequencies over the full (test, n, ell, tau) grid.
 
-    Deterministic in config.base_seed for every parallelism degree; the
-    per-test null law is built once and shared by all replicates, and
-    every test of a cell is decided on the same samples.
+    Deterministic in config.base_seed for every parallelism degree; each
+    test's null critical value is computed once per process and shared by
+    all replicates, and every test of a cell is decided on the same
+    samples.
     """
     engine = _Engine(config)
     refs = _asymptotic_references(config, engine)
@@ -311,12 +303,14 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
     else:
         outcomes = [engine.run_cell(cell) for cell in cells]
     rows = []
-    for ti, (label, _) in enumerate(engine.tests):
+    for ti, weights in enumerate(engine.tests):
         for (n, ell, taui), per_test in zip(cells, outcomes):
             freq, se = per_test[ti]
             curve = refs[ti, ell]
+            # rows carry the parsed name: an explicit weight list gets a
+            # comma-free form so the table stays CSV-safe
             rows.append(PowerRow(
-                test=label, n=n, ell=ell,
+                test=weights.name, n=n, ell=ell,
                 tau=config.tau_grid[taui], reject_freq=freq, mc_se=se,
                 asym_power=None if curve is None else curve[taui],
                 trivial=curve is None))

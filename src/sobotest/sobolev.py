@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -54,26 +54,31 @@ class TruncationInfo:
     total_mass: float
 
 
+def _entry(values: tuple, k: int) -> float:
+    """v_k of a finite vector: its k-th entry, 0 past its end."""
+    return values[k - 1] if k <= len(values) else 0.0
+
+
 class WeightSequence:
-    """Nonnegative weights v_k over harmonic degrees k >= 1, either an
-    explicit finite vector or a rule k -> v_k with square-summable mass
-    v_k^2 d_{p,k}."""
+    """Nonnegative weights v_k over harmonic degrees k >= 1, given by a rule
+    k -> v_k with square-summable mass v_k^2 d_{p,k}.  A finite vector is
+    the rule that reads it, 0 past its last entry (degree _last)."""
 
     def __init__(self, values=None, rule=None, name: Optional[str] = None):
         if (values is None) == (rule is None):
             raise ValueError("provide exactly one of values or rule")
+        self._last = None
         if values is not None:
             values = tuple(float(v) for v in values)
-            for v in values:
-                # the weights enter squared: v^2 must neither overflow nor underflow to 0
-                if not (math.isfinite(v * v) and (v == 0.0 or v * v > 0.0)):
-                    raise ValueError(f"weight {v!r} must be 0 or have a finite, nonzero square")
-            if not values or not any(values):
-                raise ValueError("finite weight vectors need a nonzero entry")
-        self._values = values
+            self._last = len(values)
+            rule = partial(_entry, values)
         self._rule = rule
         self.name = name
         self._trunc_cache = {}
+        # a vector is checked once, in full; a rule as its degrees are read
+        if self._last is not None and not any(
+                [self.weight(k) for k in range(1, self._last + 1)]):
+            raise ValueError("finite weight vectors need a nonzero entry")
 
     @classmethod
     def finite(cls, values, name: Optional[str] = None) -> "WeightSequence":
@@ -92,37 +97,30 @@ class WeightSequence:
 
     @property
     def kind(self) -> str:
-        return "finite" if self._values is not None else "infinite"
+        return "finite" if self._last is not None else "infinite"
 
     def weight(self, k: int) -> float:
         if k < 1:
             raise ValueError(f"degree must be >= 1, got {k}")
-        if self._values is not None:
-            return self._values[k - 1] if k <= len(self._values) else 0.0
-        return float(self._rule(k))
+        v = float(self._rule(k))
+        # the weights enter squared: v^2 must neither overflow nor underflow to 0
+        if not (math.isfinite(v * v) and (v == 0.0 or v * v > 0.0)):
+            raise ValueError(f"weight {v!r} must be 0 or have a finite, nonzero square")
+        return v
 
     @property
     def k_v(self) -> int:
-        """Smallest degree with nonzero weight."""
-        if self._values is not None:
-            for i, v in enumerate(self._values):
-                if v != 0.0:
-                    return i + 1
-        else:
-            for k in range(1, _TRUNC_K_MAX + 1):
-                if self._rule(k) != 0.0:
-                    return k
+        """Smallest degree with nonzero weight, searched through degree
+        _TRUNC_K_MAX."""
+        for k in range(1, _TRUNC_K_MAX + 1):
+            if self.weight(k) != 0.0:
+                return k
         raise ValueError("no nonzero weight found")
 
     @property
     def K_v(self) -> Optional[int]:
         """Largest degree with nonzero weight (finite sequences only)."""
-        if self._values is None:
-            return None
-        for i in range(len(self._values) - 1, -1, -1):
-            if self._values[i] != 0.0:
-                return i + 1
-        raise ValueError("no nonzero weight found")
+        return None if self._last is None else self.support_through(self._last)[-1]
 
     def support_through(self, k_max: int) -> list:
         return [k for k in range(1, k_max + 1) if self.weight(k) != 0.0]
@@ -130,13 +128,16 @@ class WeightSequence:
     def truncation(self, p: int) -> TruncationInfo:
         """Choose k_trunc so the neglected mass is below 1e-6 of the total;
         geometric tail bound from block ratios.  Raises if the mass does
-        not decay."""
-        if self._values is not None:
+        not decay.  A finite sequence stops at K_v with no tail."""
+        if p not in self._trunc_cache:
+            self._trunc_cache[p] = self._truncate(p)
+        return self._trunc_cache[p]
+
+    def _truncate(self, p: int) -> TruncationInfo:
+        if self._last is not None:
             total = sum(self.weight(k) ** 2 * harmonic_dim(p, k)
-                        for k in range(1, len(self._values) + 1))
+                        for k in range(1, self._last + 1))
             return TruncationInfo(self.K_v, 0.0, total)
-        if p in self._trunc_cache:
-            return self._trunc_cache[p]
         block = 4
         blocks = []
         total = 0.0
@@ -150,18 +151,13 @@ class WeightSequence:
                 if r < 0.9:
                     tail = blocks[-1] * r / (1.0 - r)
                     if tail < _TRUNC_REL_TOL * total:
-                        info = TruncationInfo(start + block - 1, tail, total)
-                        self._trunc_cache[p] = info
-                        return info
+                        return TruncationInfo(start + block - 1, tail, total)
         raise ValueError(
             "weight sequence mass v_k^2 d_{p,k} does not decay fast enough "
             f"to truncate below {_TRUNC_K_MAX} degrees")
 
     def active_degrees(self, p: int) -> list:
-        """Degrees entering the statistic: the support, truncated for
-        infinite sequences."""
-        if self._values is not None:
-            return self.support_through(len(self._values))
+        """Degrees entering the statistic: the support through k_trunc."""
         return self.support_through(self.truncation(p).k_trunc)
 
     def signature(self, p: int):

@@ -262,7 +262,7 @@ def test_noncentrality_standard_closed_forms():
 
 
 def test_noncentrality_standard_dual_route_over_grid():
-    # the product form and the m_{k,k} form are asserted equal internally
+    # the m_{k,k} form and the exact drift form are asserted equal internally
     for p in (2, 3, 4, 5):
         for k in range(1, 9):
             value = noncentrality_standard(p, k, 1.3, vmf())
@@ -283,11 +283,13 @@ def test_noncentrality_delayed_values():
 
 
 def test_noncentrality_delayed_reduces_to_standard():
-    for p in (2, 3, 4):
-        for k in (1, 2, 3, 4):
-            a = noncentrality_delayed(p, k, k, 1.9, vmf())
-            b = noncentrality_standard(p, k, 1.9, vmf())
-            assert a == pytest.approx(b, rel=1e-12)
+    # the standard case is the delayed one at k_star = k, bit for bit, so
+    # the value a test reports is the one its limit law carries
+    for f in (vmf(), power(3), cauchy()):
+        for p in (2, 3, 4, 5, 10, 20):
+            for k in range(1, 9):
+                assert (noncentrality_standard(p, k, 1.9, f)
+                        == noncentrality_delayed(p, k, k, 1.9, f))
 
 
 def test_noncentrality_delayed_validation():

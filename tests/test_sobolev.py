@@ -112,6 +112,16 @@ def test_truncation_rejects_nonsummable_mass():
         w.truncation(3)
 
 
+@pytest.mark.parametrize("rule, value", [(lambda k: 1e200 * 2.0 ** -k, 5e199),
+                                         (lambda k: math.nan, math.nan)],
+                         ids=["overflow", "nan"])
+def test_rule_weights_get_the_finite_square_check(rule, value):
+    # a rule's weights are checked as they are read, as a list's are
+    w = WeightSequence.from_rule(rule)
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        w.truncation(3)
+
+
 def test_truncation_finite_is_exact():
     w = WeightSequence.finite([1.0, 0.5])
     info = w.truncation(4)
