@@ -156,6 +156,11 @@ def _zonal_drift_exact(p: int, k: int, k_star: int) -> Fraction:
     return total
 
 
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
+
 def noncentrality_standard(p: int, k: int, tau: float,
                            f: AngularFunction) -> float:
     """Noncentrality of the degree-k mixture term at the threshold rate
@@ -179,8 +184,7 @@ def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
         raise ValueError(f"k_star={k_star} must be >= k={k}")
     if (k_star - k) % 2:
         raise ValueError(f"k={k} and k_star={k_star} must have equal parity")
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    _check_tau(tau)
     fks = f.derivative_at_zero(k_star)
     if fks == 0.0 or tau == 0.0:
         return 0.0
@@ -264,12 +268,12 @@ class MixtureLaw:
         clean = []
         for weight, df, nc in terms:
             weight, df, nc = float(weight), int(df), float(nc)
-            if weight <= 0.0:
-                raise ValueError(f"term weights must be > 0, got {weight}")
+            if not 0.0 < weight < math.inf:
+                raise ValueError(f"term weights must be finite and > 0, got {weight}")
             if df < 1:
                 raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-            if nc < 0.0:
-                raise ValueError(f"noncentrality must be >= 0, got {nc}")
+            if not 0.0 <= nc < math.inf:
+                raise ValueError(f"noncentrality must be finite and >= 0, got {nc}")
             clean.append((weight, df, nc))
         if not clean:
             raise ValueError("a mixture needs at least one term")
@@ -458,8 +462,8 @@ def limit_law(weights: WeightSequence, p: int,
     given = (f is not None, tau is not None, rate_exponent is not None)
     if any(given) and not all(given):
         raise ValueError("an alternative law needs f, tau, and rate_exponent together")
-    if tau is not None and tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if tau is not None:
+        _check_tau(tau)
     if rate_exponent is not None and rate_exponent <= 0.0:
         raise ValueError(f"rate exponent must be > 0, got {rate_exponent}")
     active = weights.active_degrees(p)
@@ -503,6 +507,9 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     classification is blind.  One null critical value serves the grid."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    taus = list(taus)
+    for tau in taus:  # a blind curve builds no law to check them
+        _check_tau(tau)
     report = classify_threshold(weights, f, q)
     if report.case == "blind":
         return [AsymptoticPower(alpha, 0.0, True) for _ in taus]

@@ -100,8 +100,8 @@ class ExperimentConfig:
         if not self.rate_exponents or any(e < 1 for e in self.rate_exponents):
             raise ValueError(
                 f"rate exponents must be >= 1, got {self.rate_exponents}")
-        if not self.tau_grid or any(t < 0.0 for t in self.tau_grid):
-            raise ValueError(f"tau grid must be >= 0, got {self.tau_grid}")
+        if not self.tau_grid or not all(0.0 <= t < math.inf for t in self.tau_grid):
+            raise ValueError(f"tau grid must be finite and >= 0, got {self.tau_grid}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:

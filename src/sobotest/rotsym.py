@@ -8,12 +8,13 @@ generality: a Sobolev statistic sees a sample only through the products
 u_i'u_j, so it takes the same value on Q u_1, ..., Q u_n for any
 orthogonal Q, and multiplying the rows by any such Q with Q e_p = theta
 gives a sample about theta.  `RotSymConfig` builds the inverse CDF of
-phi once, a linear density per cell within 1e-8 of the total mass; a
-replicate inverts n uniforms through a guide table with no rejection
-loop.  No sin or cos is taken per point: cos phi and sin phi come by
-angle addition from the cos and sin of each cell's left edge, stored
-with the table, and the uniform angle w of the tangent direction at
-p = 3 the same way from a 1024-step circle."""
+phi once for every kappa >= 0 (the uniform law at kappa = 0 has density
+(sin phi)^(p-2)), a linear density per cell within 1e-8 of the total
+mass; a replicate inverts n uniforms through a guide table with no
+rejection loop.  No sin or cos is taken per point: cos phi and sin phi
+come by angle addition from the cos and sin of each cell's left edge,
+stored with the table, and the uniform angle w of the tangent direction
+at p = 3 the same way from a 1024-step circle."""
 
 from __future__ import annotations
 
@@ -250,27 +251,26 @@ class _InverseCDF:
 @dataclass(frozen=True)
 class RotSymConfig:
     """Sampling configuration: density proportional to f(kappa * u'e_p).
-    kappa > 0 builds the inverse CDF of phi = arccos(u'e_p) here, once."""
+    Builds the inverse CDF of phi = arccos(u'e_p) here, once."""
 
     p: int
     kappa: float
     f: AngularFunction
     seed: int = 0
-    table: Optional[_InverseCDF] = field(default=None, init=False, compare=False, repr=False)
+    table: _InverseCDF = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.kappa > 0.0:
-            object.__setattr__(self, "table", _InverseCDF(self.p, self.kappa, self.f))
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        object.__setattr__(self, "table", _InverseCDF(self.p, self.kappa, self.f))
 
 
 def _check_unit_norms(points: np.ndarray) -> None:
     """Raise ValueError unless every row of the (n, p) array has norm
-    within _NORM_TOL of 1."""
-    if np.any(np.abs(np.linalg.norm(points, axis=1) - 1.0) > _NORM_TOL):
+    within _NORM_TOL of 1 (a NaN norm is not)."""
+    if not np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0) <= _NORM_TOL):
         raise ValueError("all points must have unit norm (tolerance 1e-8)")
 
 
@@ -293,26 +293,19 @@ class SphericalSample:
 
 
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
-    """n independent uniform draws on the sphere in R^p (normalized
-    Gaussians), from the counter-based stream (seed, replicate): the
-    kappa = 0 draw of sample_rotsym."""
+    """n independent uniform draws on the sphere in R^p, from the
+    counter-based stream (seed, replicate): the kappa = 0 draw of
+    sample_rotsym."""
     return sample_rotsym(RotSymConfig(p, 0.0, vmf(), seed), n, replicate)
 
 
-def _normalized_gaussians(gen, n: int, p: int, tangent: bool = False) -> np.ndarray:
-    """n normalized Gaussians in R^p, with the last coordinate zeroed first
-    if tangent: uniform directions orthogonal to e_p (tiny rows redrawn)."""
-    def draw(m):
-        z = gen.standard_normal((m, p))
-        if tangent:
-            z[:, -1] = 0.0
-        return z
-
-    z = draw(n)
+def _normalized_gaussians(gen, n: int, p: int) -> np.ndarray:
+    """n normalized Gaussians in R^p: uniform directions (tiny rows redrawn)."""
+    z = gen.standard_normal((n, p))
     norms = _row_norms(z)
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
-        z[bad] = draw(int(bad.sum()))
+        z[bad] = gen.standard_normal((int(bad.sum()), p))
         norms = _row_norms(z)
     z /= norms[:, None]
     return z
@@ -340,8 +333,6 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.stream(config.seed, replicate)
     p = config.p
-    if config.kappa == 0.0:
-        return SphericalSample(p, n, _normalized_gaussians(gen, n, p))
     t, s = config.table.cos_sin(gen.random(n))
     if p == 3:
         # (-s sin w, s cos w, t) written column by column into one array;
@@ -359,8 +350,8 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
         np.multiply(1.0 - 2.0 * gen.integers(0, 2, size=n), s, out=points[:, 0])
         points[:, 1] = t
         return SphericalSample(p, n, points)
-    points = _normalized_gaussians(gen, n, p, tangent=True)
-    points *= s[:, None]
+    points = np.empty((n, p))
+    np.multiply(_normalized_gaussians(gen, n, p - 1), s[:, None], out=points[:, :-1])
     points[:, -1] = t
     return SphericalSample(p, n, points)
 

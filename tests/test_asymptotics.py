@@ -299,6 +299,9 @@ def test_noncentrality_delayed_validation():
         noncentrality_delayed(3, 4, 2, 1.0, vmf())  # k_star below k
     with pytest.raises(ValueError):
         noncentrality_standard(3, 1, -1.0, vmf())
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tau must be finite and >= 0, got {tau}"):
+            noncentrality_delayed(3, 1, 3, tau, vmf())
 
 
 RAYLEIGH = WeightSequence.delta(1, name="rayleigh")
@@ -407,6 +410,9 @@ def test_limit_law_rate_mismatch_raises():
         limit_law(RAYLEIGH, 3, f=vmf(), tau=None, rate_exponent=0.5)
     with pytest.raises(ValueError):
         limit_law(RAYLEIGH, 3, vmf(), -1.0, 0.5)
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tau must be finite and >= 0, got {tau}"):
+            limit_law(RAYLEIGH, 3, vmf(), tau, 0.5)
 
 
 def test_limit_law_infinite_weights():
@@ -764,6 +770,11 @@ def test_mixture_validation():
         MixtureLaw(3, [(1.0, 0, 0.0)])
     with pytest.raises(ValueError):
         MixtureLaw(3, [(1.0, 3, -0.5)])
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"term weights must be finite and > 0, got {value}"):
+            MixtureLaw(3, [(value, 3, 0.0)])
+        with pytest.raises(ValueError, match=f"noncentrality must be finite and >= 0, got {value}"):
+            MixtureLaw(3, [(1.0, 3, value)])
     law = MixtureLaw(3, [(1.0, 3, 0.0)])
     with pytest.raises(ValueError):
         law.quantile(0.0)
@@ -793,6 +804,10 @@ def test_asymptotic_power_blind_is_exact_alpha():
     assert row == AsymptoticPower(0.05, 0.0, True)
     [row] = power_curve(THREE, 3, watson(), [1.0], 0.05, q=8)
     assert row.trivial and row.power == 0.05
+    # a blind curve builds no law, so the grid is checked on its own
+    for tau in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            power_curve(RAYLEIGH, 3, watson(), [1.0, tau], 0.05, q=8)
 
 
 def test_asymptotic_power_monotone_in_tau():

@@ -264,6 +264,31 @@ def test_norm_tolerance_exit_codes(tmp_path, capsys):
             assert code == want
 
 
+def test_nan_point_is_a_data_error(tmp_path, capsys):
+    # a NaN coordinate gives a NaN norm, which is not within 1e-8 of 1
+    path = tmp_path / "nan.csv"
+    path.write_text("x1,x2,x3\nnan,0,1\n0,0,1\n", encoding="utf-8")
+    code, out, err = run(capsys, "test", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: all points must have unit norm (tolerance 1e-8)\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_kappa_and_tau_exit_2(tmp_path, capsys, value):
+    # each is a data error that names the value
+    code, out, err = run(capsys, "simulate", "--p", "3", "--n", "5", "--kappa", value)
+    assert (code, out, err) == (2, "", f"error: kappa must be finite and >= 0, got {value}\n")
+    config = tmp_path / "taus.ini"
+    config.write_text(f"[experiment]\np = 3\nf = vmf\ntau_grid = 0, {value}\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "power-curve", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: tau grid must be finite and >= 0, got (0.0, {value})\n"
+    code, out, err = run(capsys, "asymptotic", "--weights", "rayleigh", "--f", "vmf",
+                         "--p", "3", "--taus", f"1,{value}")
+    assert (code, out, err) == (2, "", f"error: tau must be finite and >= 0, got {value}\n")
+
+
 def test_numerical_errors_exit_3(tmp_path, capsys, monkeypatch):
     sample = tmp_path / "s.csv"
     run(capsys, "simulate", "--p", "3", "--n", "10", "--out", str(sample))

@@ -211,6 +211,8 @@ def test_addition_kernel_degree_zero_and_errors():
         harmonics.basis_eval(3, 0, np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         harmonics.basis_matrix(3, 1, np.array([[0.0, 0.0, 2.0]]))
+    with pytest.raises(ValueError, match="unit norm"):  # a NaN norm is not near 1
+        harmonics.basis_matrix(3, 1, np.array([[math.nan, 0.0, 1.0]]))
 
 
 def test_near_pole_stability():

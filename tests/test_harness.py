@@ -104,6 +104,8 @@ def test_config_defaults():
     dict(alpha=0.0),
     dict(alpha=1.0),
     dict(parallelism=0),
+    dict(tau_grid=(0.0, math.nan)),
+    dict(tau_grid=(math.inf,)),
 ])
 def test_config_validation(bad):
     kwargs = dict(p=3, f_id="vmf")

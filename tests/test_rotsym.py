@@ -121,6 +121,9 @@ def test_config_validation():
         rotsym.RotSymConfig(p=1, kappa=0.0, f=rotsym.vmf())
     with pytest.raises(ValueError):
         rotsym.RotSymConfig(p=3, kappa=-0.1, f=rotsym.vmf())
+    for kappa in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"kappa must be finite and >= 0, got {kappa}"):
+            rotsym.RotSymConfig(p=3, kappa=kappa, f=rotsym.vmf())
 
 
 def test_uniform_sampler_moments():
@@ -190,7 +193,7 @@ def test_p2_tangent_signs():
 
 class _ZeroRowStream:
     """A stream whose first normal draw has row 0 all zero and row 1 zero
-    but for its last entry, which tangent draws zero too; counts normals."""
+    but for its last entry; counts normals."""
 
     def __init__(self, gen):
         self.gen, self.normals = gen, 0
@@ -207,10 +210,10 @@ class _ZeroRowStream:
         return z
 
 
-@pytest.mark.parametrize("p,kappa,redrawn", [(3, 0.0, 1), (5, 2.0, 2)])
-def test_tiny_gaussian_rows_are_redrawn(monkeypatch, p, kappa, redrawn):
-    # kappa = 0 draws whole Gaussians, so only row 0 is tiny; kappa > 0
-    # draws tangent ones with the last column zeroed, so row 1 is tiny too
+@pytest.mark.parametrize("p,kappa", [(4, 0.0), (5, 2.0)])
+def test_tiny_gaussian_rows_are_redrawn(monkeypatch, p, kappa):
+    # every kappa draws p - 1 tangent normals per point: row 0 is tiny and
+    # redrawn, row 1 keeps its one nonzero entry
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf(), seed=4)
     n = 50
     plain = rotsym.sample_rotsym(cfg, n).points
@@ -222,11 +225,10 @@ def test_tiny_gaussian_rows_are_redrawn(monkeypatch, p, kappa, redrawn):
 
     monkeypatch.setattr(rng, "stream", zero_row_stream)
     points = rotsym.sample_rotsym(cfg, n).points
-    assert streams[0].normals == (n + redrawn) * p
-    np.testing.assert_allclose(np.linalg.norm(points[:redrawn], axis=1), 1.0, atol=1e-12)
+    assert streams[0].normals == (n + 1) * (p - 1)
+    np.testing.assert_allclose(np.linalg.norm(points[:2], axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(points[2:], plain[2:])
-    if kappa > 0.0:
-        np.testing.assert_array_equal(points[:, -1], plain[:, -1])  # t is drawn before xi
+    np.testing.assert_array_equal(points[:, -1], plain[:, -1])  # t is drawn before xi
 
 
 # log f(kappa cos phi) - log f(kappa) for the references below, written out
@@ -346,7 +348,8 @@ _EPS = np.finfo(float).eps
 KS_CASES = [(p, name, kappa)
             for p in (2, 3, 10, 20)
             for name in ("vmf", "watson", "power3", "cauchy")
-            for kappa in ((0.01, 0.45) if name == "cauchy" else (0.01, 1.0, 10.0, 100.0, 800.0))]
+            for kappa in ((0.0, 0.01, 0.45) if name == "cauchy"
+                          else (0.0, 0.01, 1.0, 10.0, 100.0, 800.0))]
 
 
 @pytest.mark.parametrize("p,name,kappa", KS_CASES)
@@ -447,11 +450,13 @@ def _ks_reference_cdf(p, kappa, name):
 
 @pytest.mark.parametrize("p,name,kappa,seed", [
     (3, "vmf", 10.0, 101), (2, "power3", 2.0, 102), (10, "watson", 5.0, 103),
-    (20, "cauchy", 0.45, 104)])
+    (20, "cauchy", 0.45, 104), (3, "vmf", 0.0, 105)])
 def test_sampler_one_sample_ks(p, name, kappa, seed):
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=_profile(name), seed=seed)
     t = rotsym.sample_rotsym(cfg, 200_000).points[:, -1]
-    if (p, name) == (3, "vmf"):
+    if (p, kappa) == (3, 0.0):
+        cdf = stats.uniform(-1.0, 2.0).cdf  # Archimedes: t is uniform on [-1, 1]
+    elif (p, name) == (3, "vmf"):
         # closed form: the density of t is proportional to exp(kappa t)
         cdf = lambda x: np.expm1(kappa * (x + 1.0)) / np.expm1(2.0 * kappa)  # noqa: E731
     else:

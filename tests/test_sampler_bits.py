@@ -26,7 +26,7 @@ from sobotest.sobolev import WeightSequence, stat_harmonic
 GOLDEN = Path(__file__).resolve().parent / "golden" / "sampler_bits.json"
 # (p, profile, kappa): every tangent-direction branch (p = 2, 3, >= 4) and kappa = 0
 CONFIGS = [(2, "vmf", 0.8), (3, "vmf", 0.0424), (3, "watson", 1.967), (3, "vmf", 0.0),
-           (4, "cauchy", 0.4), (20, "vmf", 0.134), (30, "vmf", 1.69)]
+           (4, "cauchy", 0.4), (10, "vmf", 0.0), (20, "vmf", 0.134), (30, "vmf", 1.69)]
 SEEDS, REPLICATES, N = (1, 97), (0, 4), 500
 PROFILES = {"vmf": vmf, "watson": watson, "cauchy": cauchy}
 

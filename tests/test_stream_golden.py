@@ -9,7 +9,9 @@ are Chebyshev polynomials.  Version 2 (the inverse-CDF sampler) added
 tau = 14 to the p = 20 config.  Version 3: one sample per cell and
 replicate for every test; it added the p = 2 config.  Version 4: the
 sampler's cos/sin by angle addition; points move by a few ulp, no golden
-row moved.
+row moved.  Version 5: one sampler path for every kappa, kappa = 0
+through the inverse-CDF table too, and p - 1 tangent normals per point
+at p >= 4; every tau = 0 row and every p = 20 row was redrawn.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -22,6 +24,9 @@ protocol.
 Regenerate (only under the protocol above):
 
     PYTHONPATH=src python3 tests/test_stream_golden.py --write
+
+which prints every row it moves as `name: old -> new`, the list that
+CHANGES.md takes.
 """
 
 import sys
@@ -36,7 +41,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 4
+FIXTURE_STREAM_VERSION = 5
 
 _README_GRID = dict(
     p=3,
@@ -82,11 +87,22 @@ def test_experiment_reproduces_golden_csv(name, parallelism):
     assert run_power_experiment(config).to_csv() == _fixture(name)
 
 
+def _rows(text: str) -> dict:
+    """CSV rows keyed by their (test, n, ell, tau) cell."""
+    return {line.rsplit(",", 4)[0]: line for line in text.splitlines()[1:]}
+
+
 def _write() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, config in CONFIGS.items():
         path = GOLDEN_DIR / f"{name}.csv"
-        path.write_text(run_power_experiment(config).to_csv(), encoding="utf-8")
+        old = _rows(path.read_text(encoding="utf-8")) if path.exists() else {}
+        text = run_power_experiment(config).to_csv()
+        path.write_text(text, encoding="utf-8")
+        new = _rows(text)
+        for cell in old | new:
+            if old.get(cell) != new.get(cell):
+                print(f"{name}: {old.get(cell)} -> {new.get(cell)}")
         print(f"wrote {path}")
 
 
