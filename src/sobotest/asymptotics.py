@@ -25,7 +25,6 @@ from .sobolev import WeightSequence
 from .specfun import (
     _gegen_poly_exact,
     _null_moment_exact,
-    harmonic_dim,
     monomial_to_gegenbauer,
     null_moment,
     t_factor,
@@ -80,18 +79,6 @@ class ExpansionSystem:
         for i in range(1, b.size):
             b[i] -= self.A[i, :i] @ b[:i]
         return b
-
-    def neumann_inverse(self) -> np.ndarray:
-        """A^{-1} as the alternating power sum of the strictly lower part;
-        terminates exactly because that part is nilpotent."""
-        size = self.order + 1
-        low = self.A - np.eye(size)
-        out = np.eye(size)
-        term = np.eye(size)
-        for _ in range(self.order):
-            term = -term @ low
-            out += term
-        return out
 
 
 def expansion_system(p: int, f: AngularFunction, order: int,
@@ -262,7 +249,7 @@ class MixtureLaw:
     1e-60) errors stay below 1.3e-12 relative above the mean and 1e-13
     below it, each within its `se`."""
 
-    def __init__(self, p: int, terms, tail_bound: float = 0.0, signature=None):
+    def __init__(self, p: int, terms, tail_bound: float = 0.0):
         if p < 2:
             raise ValueError(f"p must be >= 2, got {p}")
         clean = []
@@ -282,7 +269,6 @@ class MixtureLaw:
         self.p = p
         self.terms = tuple(clean)
         self.tail_bound = float(tail_bound)
-        self.signature = signature
         self._quantiles = {}
         weight, df, nc = (np.array(column, dtype=float) for column in zip(*clean))
         self._w, self._half_df, self._half_nc = weight, 0.5 * df, 0.5 * nc
@@ -484,9 +470,8 @@ def limit_law(weights: WeightSequence, p: int,
                             and (report.k_star - k) % 2 == 0):
                         noncentral[k] = noncentrality_delayed(
                             p, k, report.k_star, tau, f)
-    terms = [(weights.weight(k) ** 2, harmonic_dim(p, k), noncentral[k])
-             for k in active]
-    return MixtureLaw(p, terms, tail_bound=tail_bound, signature=weights.signature(p))
+    terms = [(v2, df, noncentral[k]) for k, (v2, df, _) in zip(active, weights.null_terms(p))]
+    return MixtureLaw(p, terms, tail_bound=tail_bound)
 
 
 @dataclass(frozen=True)

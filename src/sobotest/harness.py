@@ -8,9 +8,10 @@ asymptotic power of the test whenever the cell sits exactly on the
 test's detection threshold (ell = 2 k_star); every other row is flagged
 trivial.  Rows come out in (test, n, ell, tau) order.
 
-Replicate streams are keyed by (base_seed, 0, n, ell, tau index,
-replicate index): the tests of a cell share its samples, the 0 keeps
-the key of the first test of stream contract 2, any cell can be
+Each cell draws a 63-bit cell seed, the first integer in [0, 2^63 - 1)
+of stream(base_seed, 0, n, ell, tau index), and replicate r samples
+from stream(cell seed, r): the tests of a cell share its samples, the 0
+keeps the key of the first test of stream contract 2, any cell can be
 reproduced in isolation, and the resulting table is byte-identical for
 every parallelism degree.
 """
@@ -56,14 +57,15 @@ def parse_weights(text: str) -> WeightSequence:
     name = text.strip()
     if name in _NAMED_TESTS:
         return WeightSequence.delta(_NAMED_TESTS[name], name=name)
+    fields = [v.strip() for v in name.split(",")]
+    if not all(fields):
+        raise ValueError(f"empty field in weight list {text!r}")
     try:
-        values = [float(v) for v in name.split(",") if v.strip()]
+        values = [float(v) for v in fields]
     except ValueError:
         raise ValueError(f"unknown test {text!r}; expected one of "
                          f"{sorted(_NAMED_TESTS)} or a comma-separated "
                          "weight list") from None
-    if not values:
-        raise ValueError("empty weight list")
     label = "weights(" + " ".join(format(v, "g") for v in values) + ")"
     return WeightSequence.finite(values, name=label)
 
@@ -200,7 +202,8 @@ class PowerTable:
             if len(parts) != 8:
                 raise ValueError(f"malformed power table row: {ln!r}")
             test, n, ell, tau, freq, se, asym, flag = parts
-            if flag not in ("true", "false"):
+            # a row is trivial exactly when it has no asymptotic power
+            if flag != ("true" if asym == "" else "false"):
                 raise ValueError(f"malformed trivial flag in row: {ln!r}")
             try:
                 rows.append(PowerRow(

@@ -276,20 +276,27 @@ def _check_unit_norms(points: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SphericalSample:
-    """n unit vectors in R^p, one per row."""
+    """n unit vectors in R^p, one per row of the (n, p) array `points`;
+    n and p are read from its shape."""
 
-    p: int
-    n: int
     points: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.points.shape[1]
 
     @classmethod
     def from_points(cls, points) -> "SphericalSample":
         points = np.ascontiguousarray(np.asarray(points, dtype=float))
-        if points.ndim != 2 or points.shape[1] < 2:
-            raise ValueError("points must form an (n, p) array with p >= 2")
+        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
+            raise ValueError("points must form an (n, p) array with n >= 1 and p >= 2")
         _check_unit_norms(points)
         points.setflags(write=False)
-        return cls(points.shape[1], points.shape[0], points)
+        return cls(points)
 
 
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
@@ -344,16 +351,16 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
         np.multiply(sin_w, s, out=x)
         np.negative(x, out=x)
         np.multiply(cos_w, s, out=y)
-        return SphericalSample(p, n, points)
+        return SphericalSample(points)
     if p == 2:
         points = np.empty((n, 2))
         np.multiply(1.0 - 2.0 * gen.integers(0, 2, size=n), s, out=points[:, 0])
         points[:, 1] = t
-        return SphericalSample(p, n, points)
+        return SphericalSample(points)
     points = np.empty((n, p))
     np.multiply(_normalized_gaussians(gen, n, p - 1), s[:, None], out=points[:, :-1])
     points[:, -1] = t
-    return SphericalSample(p, n, points)
+    return SphericalSample(points)
 
 
 def save_csv(sample: SphericalSample, path) -> None:

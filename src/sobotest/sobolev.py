@@ -160,9 +160,11 @@ class WeightSequence:
         """Degrees entering the statistic: the support through k_trunc."""
         return self.support_through(self.truncation(p).k_trunc)
 
-    def signature(self, p: int):
-        """Structural identity used to match precomputed null laws."""
-        return tuple((k, self.weight(k) ** 2) for k in self.active_degrees(p))
+    def null_terms(self, p: int) -> tuple:
+        """(v_k^2, d_{p,k}, 0.0) per active degree: the central chi-square
+        terms of the statistic's null limit law."""
+        return tuple((self.weight(k) ** 2, harmonic_dim(p, k), 0.0)
+                     for k in self.active_degrees(p))
 
 
 def _kernel_weighted_sum(p: int, pairs, s: np.ndarray) -> np.ndarray:
@@ -340,14 +342,13 @@ class TestResult:
 def run_test(sample: SphericalSample, weights: WeightSequence, alpha: float,
              law) -> TestResult:
     """Compute the harmonic-form statistic and decide at level alpha using
-    the law's upper-alpha critical value; rejection requires a strict
-    exceedance.  The p-value comes from the law's tail at the statistic."""
+    the upper-alpha critical value of the null law, whose terms must be
+    weights.null_terms(sample.p); rejection requires a strict exceedance.
+    The p-value comes from the law's tail at the statistic."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if law.p != sample.p:
-        raise ValueError(f"law was built for p={law.p}, sample has p={sample.p}")
-    if law.signature != weights.signature(sample.p):
-        raise ValueError("law does not match the weight sequence")
+    if law.terms != weights.null_terms(sample.p):
+        raise ValueError(f"law is not the null law of the weight sequence at p={sample.p}")
     stat = stat_harmonic(sample, weights)
     crit, _ = law.quantile(alpha)
     pval, pval_se = law.tail(stat)

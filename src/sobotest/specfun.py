@@ -150,56 +150,37 @@ def _gegen_sweep(lam: float, top: int, t: np.ndarray):
         yield cur
 
 
-def _pochhammer(a: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
-def _coeffs_exact(lam: Fraction, q: int) -> list:
-    """Exact rational monomial coefficients c_j (without the (-1)^j sign)."""
-    if lam == 0:
-        if q == 0:
-            return [Fraction(1)]
-        return [
-            Fraction(2) ** (q - 2 * j - 1) * q * math.factorial(q - j - 1)
-            / (math.factorial(j) * math.factorial(q - 2 * j))
-            for j in range(q // 2 + 1)
-        ]
-    return [
-        Fraction(2) ** (q - 2 * j) * _pochhammer(lam, q - j)
-        / (math.factorial(j) * math.factorial(q - 2 * j))
-        for j in range(q // 2 + 1)
-    ]
-
-
 @lru_cache(maxsize=None)
 def _gegen_poly_exact(lam: Fraction, k: int) -> tuple:
     """C_k^lam as a dense vector of exact monomial coefficients, index =
-    power of t."""
-    vec = [Fraction(0)] * (k + 1)
-    for j, c in enumerate(_coeffs_exact(lam, k)):
-        vec[k - 2 * j] = (-1) ** j * c
-    return tuple(vec)
+    power of t, by the recurrence of _gegen_sweep."""
+    if k < 2:
+        return (Fraction(1),) if k == 0 else (Fraction(0), Fraction(1) if lam == 0 else 2 * lam)
+    prev = _gegen_poly_exact(lam, k - 2) + (Fraction(0),) * 2
+    cur = (Fraction(0),) + _gegen_poly_exact(lam, k - 1)
+    if lam == 0:
+        return tuple(2 * a - b for a, b in zip(cur, prev))
+    return tuple((2 * (k - 1 + lam) * a - (k - 2 + 2 * lam) * b) / k
+                 for a, b in zip(cur, prev))
 
 
 @lru_cache(maxsize=None)
 def _monomial_to_gegenbauer_exact(p: int, i: int) -> tuple:
+    """m_{k,i} as exact rationals: t times the expansion of t^(i-1), with
+    t C_k = up C_{k+1} + down C_{k-1}, the recurrence of _gegen_sweep
+    solved for t C_k (C_{-1} = 0)."""
+    if i == 0:
+        return (Fraction(1),)
     lam = Fraction(p - 2, 2)
-    residual = [Fraction(0)] * (i + 1)
-    residual[i] = Fraction(1)
     m = [Fraction(0)] * (i + 1)
-    for k in range(i, -1, -1):
-        poly = _gegen_poly_exact(lam, k)
-        lead = poly[k]
-        if residual[k] == 0:
-            continue
-        m[k] = residual[k] / lead
-        for power in range(k + 1):
-            residual[power] -= m[k] * poly[power]
-    if any(residual):
-        raise ArithmeticError("monomial reduction left a nonzero residual")
+    for k, c in enumerate(_monomial_to_gegenbauer_exact(p, i - 1)):
+        if lam == 0:
+            up = down = Fraction(1, 2) if k else Fraction(1)
+        else:
+            up, down = (k + 1) / (2 * (k + lam)), (k - 1 + 2 * lam) / (2 * (k + lam))
+        m[k + 1] += c * up
+        if k:
+            m[k - 1] += c * down
     return tuple(m)
 
 
@@ -207,8 +188,8 @@ def monomial_to_gegenbauer(p: int, i: int) -> np.ndarray:
     """Coefficients m_{k,i}, k = 0..i, expressing t^i in the basis of
     C_k^((p-2)/2) (Chebyshev for p = 2).
 
-    Computed by exact rational back-substitution, so the parity zeros
-    (m_{k,i} = 0 whenever k and i differ in parity) are exact.
+    Computed in exact rationals from the three-term recurrence, so the
+    parity zeros (m_{k,i} = 0 whenever k and i differ in parity) are exact.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")

@@ -5,32 +5,59 @@ f(kappa*t)(1-t^2)^((p-3)/2) as ratios of term-by-term integrated series,
 using beta-function closed forms for the raw integrals and sympy's series
 machinery for the ratio.  This is a different route from the package's
 unit-triangular solve, so the printed coefficients can be frozen as
-reference values.
+reference values.  It also holds `neumann_inverse`, a second route to
+the inverse of an expansion system.
 
 Run:  python3 tests/oracles/asymptotics_oracle.py
 """
 
-import sympy as sp
+import numpy as np
 
-kappa, t, s = sp.symbols("kappa t s")
 
-ANGULAR = {
-    "vmf": sp.exp(s),
-    "watson": sp.exp(s**2),
-    "power_3": sp.exp(s**3),
-    "cauchy": 1 / (1 + 2 * s),
-}
+def neumann_inverse(system) -> np.ndarray:
+    """A^{-1} of an ExpansionSystem as the alternating power sum of its
+    strictly lower part; terminates exactly because that part is
+    nilpotent.  A second route to the package's forward substitution."""
+    size = system.order + 1
+    low = system.A - np.eye(size)
+    out = np.eye(size)
+    term = np.eye(size)
+    for _ in range(system.order):
+        term = -term @ low
+        out += term
+    return out
+
+
+# The symbolic routes below import sympy when called, so that importing
+# neumann_inverse needs only numpy.
+
+def _symbols():
+    import sympy as sp
+
+    return sp, *sp.symbols("kappa t s")
+
+
+def angular(name):
+    sp, _, _, s = _symbols()
+    return {
+        "vmf": sp.exp(s),
+        "watson": sp.exp(s**2),
+        "power_3": sp.exp(s**3),
+        "cauchy": 1 / (1 + 2 * s),
+    }[name]
 
 
 def raw_moment(p, r):
     """integral of t^r (1-t^2)^((p-3)/2) over (-1, 1)."""
+    sp, _, _, _ = _symbols()
     if r % 2:
         return sp.Integer(0)
     return sp.beta(sp.Rational(r + 1, 2), sp.Rational(p - 1, 2))
 
 
 def f_taylor(name, order):
-    expr = ANGULAR[name]
+    sp, _, _, s = _symbols()
+    expr = angular(name)
     return [sp.diff(expr, s, i).subs(s, 0) / sp.factorial(i)
             for i in range(order + 1)]
 
@@ -38,6 +65,7 @@ def f_taylor(name, order):
 def ratio_series(p, name, numer_power_coeffs, top):
     """Series of E[poly(t)] to order kappa^top, where the polynomial has
     monomial coefficients numer_power_coeffs (index = power of t)."""
+    sp, kappa, _, _ = _symbols()
     coeffs = f_taylor(name, top)
     numer = sp.Integer(0)
     denom = sp.Integer(0)
@@ -59,6 +87,7 @@ def monomial(m):
 
 
 def gegen_coeffs(p, k):
+    sp, _, t, _ = _symbols()
     if p == 2:
         poly = sp.chebyshevt(k, t)
     else:

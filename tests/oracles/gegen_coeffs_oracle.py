@@ -1,19 +1,76 @@
-"""Monomial coefficient tables of the Gegenbauer polynomials, a reference
-that only the tests use: they evaluate C_q^lam from its exact rational
-coefficients (`sobotest.specfun._coeffs_exact`), against which the
-production recurrence `gegenbauer_eval` is checked.
+"""Closed-form coefficient tables of the Gegenbauer polynomials, a reference
+that only the tests use.  The production tables in `sobotest.specfun` come
+from the three-term recurrence; these come from the explicit sums
+
+  C_q^lam(t) = sum_j (-1)^j 2^(q-2j) (lam)_(q-j) / (j! (q-2j)!) t^(q-2j),
+  T_q(t)     = sum_j (-1)^j 2^(q-2j-1) q (q-j-1)! / (j! (q-2j)!) t^(q-2j),
+  t^i        = i! / 2^i sum_j (lam + i - 2j) / (j! (lam)_(i-j+1)) C_(i-2j)^lam(t),
+  t^i        = 2^(1-i) sum_j binom(i, j) T_(i-2j)(t), the T_0 term halved,
+
+in exact rationals, with the Chebyshev convention T_q = C_q^0, T_q(1) = 1,
+at lam = 0.  `GegenCoeffTable.eval` is the reference against which the
+recurrence `gegenbauer_eval` is checked.
 
 Imported by the tests as `from oracles.gegen_coeffs_oracle import ...`.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from sobotest.specfun import MAX_DEGREE, _clamp_argument, _coeffs_exact
+from sobotest.specfun import MAX_DEGREE, _clamp_argument
 
-__all__ = ["GegenCoeffTable", "gegenbauer_coeffs"]
+__all__ = ["GegenCoeffTable", "gegenbauer_coeffs", "gegen_poly_closed_form",
+           "monomial_expansion_closed_form"]
+
+
+def _pochhammer(a: Fraction, n: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(n):
+        out *= a + i
+    return out
+
+
+def _coeffs_exact(lam: Fraction, q: int) -> list:
+    """Exact rational monomial coefficients c_j (without the (-1)^j sign)."""
+    if lam == 0:
+        if q == 0:
+            return [Fraction(1)]
+        return [
+            Fraction(2) ** (q - 2 * j - 1) * q * math.factorial(q - j - 1)
+            / (math.factorial(j) * math.factorial(q - 2 * j))
+            for j in range(q // 2 + 1)
+        ]
+    return [
+        Fraction(2) ** (q - 2 * j) * _pochhammer(lam, q - j)
+        / (math.factorial(j) * math.factorial(q - 2 * j))
+        for j in range(q // 2 + 1)
+    ]
+
+
+def gegen_poly_closed_form(lam: Fraction, q: int) -> tuple:
+    """C_q^lam as a dense vector of exact monomial coefficients, index =
+    power of t."""
+    vec = [Fraction(0)] * (q + 1)
+    for j, c in enumerate(_coeffs_exact(lam, q)):
+        vec[q - 2 * j] = (-1) ** j * c
+    return tuple(vec)
+
+
+def monomial_expansion_closed_form(p: int, i: int) -> tuple:
+    """m_{k,i}, k = 0..i, with t^i = sum_k m_{k,i} C_k^((p-2)/2)(t), in
+    exact rationals."""
+    lam = Fraction(p - 2, 2)
+    m = [Fraction(0)] * (i + 1)
+    for j in range(i // 2 + 1):
+        if lam == 0:
+            m[i - 2 * j] = Fraction(math.comb(i, j), 2 ** (i - 1 if 2 * j < i else i))
+        else:
+            m[i - 2 * j] = (math.factorial(i) * (lam + i - 2 * j)
+                            / (2 ** i * math.factorial(j) * _pochhammer(lam, i - j + 1)))
+    return tuple(m)
 
 
 @dataclass(frozen=True)

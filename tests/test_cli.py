@@ -235,6 +235,32 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert empty_taus[0] == 2
 
 
+@pytest.mark.parametrize("weights", ["0,,1", ",1", "1,", "1, ,2"])
+def test_weight_list_with_an_empty_field_exits_2(tmp_path, capsys, weights):
+    # an empty field is malformed text, not a weight to skip
+    sample = tmp_path / "s.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "50", "--out", str(sample))
+    code, out, err = run(capsys, "test", str(sample), "--weights", weights)
+    assert code == 2
+    assert out == ""
+    assert repr(weights) in err
+
+
+@pytest.mark.parametrize("asym,flag", [("0.5", "true"), ("", "false")])
+def test_plot_rejects_a_trivial_flag_that_disagrees_with_asym_power(
+        tmp_path, capsys, asym, flag):
+    # a row is trivial exactly when its asymptotic power cell is empty
+    table_csv = tmp_path / "table.csv"
+    table_csv.write_text(
+        "test,n,ell,tau,reject_freq,mc_se,asym_power,trivial\n"
+        f"rayleigh,500,2,0,0.05,0.004873,{asym},{flag}\n",
+        encoding="utf-8")
+    code, out, err = run(capsys, "plot", str(table_csv))
+    assert code == 2
+    assert out == ""
+    assert "malformed trivial flag" in err
+
+
 @pytest.mark.parametrize("weights", ["nan", "inf", "1e200", "1e-200"])
 def test_weights_without_a_usable_square_exit_2(tmp_path, capsys, weights):
     # NaN, an infinity, a square that overflows and one that underflows
@@ -258,7 +284,7 @@ def test_norm_tolerance_exit_codes(tmp_path, capsys):
         off = points.copy()
         off[0] *= scale
         path = tmp_path / f"off{want}.csv"
-        save_csv(SphericalSample(3, 60, off), path)
+        save_csv(SphericalSample(off), path)
         for weights in ("rayleigh", "0,0,0,0,1"):
             code, _, _ = run(capsys, "test", str(path), "--weights", weights)
             assert code == want

@@ -4,6 +4,7 @@ breaks."""
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +32,13 @@ def test_package_star_import():
     namespace = {}
     exec("from sobotest import *", namespace)
     assert set(sobotest.__all__) <= set(namespace)
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's python example uses the public constructors; its
+    # classification line prints what its comment says
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "# delayed 6 n^(-1/12)" in block
+    assert "delayed 6 n^(-1/12)" in capsys.readouterr().out.splitlines()

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sobotest.asymptotics import limit_law
 from sobotest.harness import (
     ExperimentConfig,
     PowerRow,
@@ -15,6 +16,9 @@ from sobotest.harness import (
     parse_weights,
     run_power_experiment,
 )
+from sobotest.rng import stream
+from sobotest.rotsym import RotSymConfig, sample_rotsym
+from sobotest.sobolev import stat_harmonic
 
 # Frozen reference: asymptotic Rayleigh power at p=3, vmf, threshold rate,
 # tau=2 (noncentral chi-square, 3 df, noncentrality 4/3, at the 5% point).
@@ -161,6 +165,7 @@ def test_config_from_file_minimal(tmp_path):
     "[experiment]\np = 3\nf = vmf\nn_list = 10, x\n",
     "not an ini file at all [\n",
     "[experiment]\np = 3\nf = vmf\nreplicate = 10\n",
+    "[experiment]\np = 3\nf = vmf\ntests = rayleigh; 0,,1\n",
 ])
 def test_config_from_file_malformed(tmp_path, text):
     path = tmp_path / "exp.ini"
@@ -298,6 +303,27 @@ def test_cell_reproducible_in_isolation():
     second = _Engine(cfg).run_cell(cell)
     assert first == second
     assert len(first) == len(cfg.tests)
+
+
+def test_frequencies_rebuilt_from_the_documented_stream_keys():
+    # each cell draws a 63-bit seed from stream(base_seed, 0, n, ell, tau
+    # index), and replicate r samples from stream(cell seed, r)
+    cfg = tiny_config(rate_exponents=(2,), n_list=(40,), replicates=12)
+    f = angular_function(cfg.f_id)
+    tests = [parse_weights(name) for name in cfg.tests]
+    crits = [limit_law(w, cfg.p).quantile(cfg.alpha)[0] for w in tests]
+    want = []
+    for weights, crit in zip(tests, crits):
+        for taui, tau in enumerate(cfg.tau_grid):
+            n, ell = cfg.n_list[0], cfg.rate_exponents[0]
+            cell_seed = int(stream(cfg.base_seed, 0, n, ell, taui).integers(0, 2**63 - 1))
+            config = RotSymConfig(cfg.p, tau * n ** (-1.0 / ell), f, cell_seed)
+            rejects = 0
+            for r in range(cfg.replicates):
+                rejects += stat_harmonic(sample_rotsym(config, n, r), weights) > crit
+            want.append(rejects / cfg.replicates)
+    assert [row.reject_freq for row in run_power_experiment(cfg).rows] == want
+    assert len(set(want)) > 1
 
 
 @pytest.mark.parametrize("tests", [("rayleigh", "bingham"), ("3-test", "1,0.5", "rayleigh")])

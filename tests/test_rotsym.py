@@ -134,6 +134,20 @@ def test_uniform_sampler_moments():
     np.testing.assert_allclose((s.points**2).mean(axis=0), 1 / 3, atol=0.01)
 
 
+def test_sample_size_and_dimension_are_the_array_shape():
+    # a sample carries no n or p of its own that could disagree with its points
+    points = rotsym.sample_uniform(3, 10, seed=8).points
+    sample = rotsym.SphericalSample(points)
+    assert (sample.n, sample.p) == (10, 3)
+    with pytest.raises(TypeError):
+        rotsym.SphericalSample(4, 7, points)
+
+
+def test_from_points_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="n >= 1"):
+        rotsym.SphericalSample.from_points(np.empty((0, 3)))
+
+
 def test_sampler_determinism():
     cfg = rotsym.RotSymConfig(p=3, kappa=1.0, f=rotsym.vmf(), seed=99)
     a = rotsym.sample_rotsym(cfg, 500)

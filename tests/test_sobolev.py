@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 from sobotest import sobolev
+from sobotest.asymptotics import limit_law
 from sobotest.harmonics import basis_matrix
 from sobotest.rotsym import RotSymConfig, SphericalSample, sample_rotsym, sample_uniform, vmf
 from sobotest.sobolev import (
@@ -27,8 +28,7 @@ class _Chi2Law:
     """Minimal stand-in law for run_test: a single chi-square component."""
 
     def __init__(self, p, weights, df, scale=1.0):
-        self.p = p
-        self.signature = weights.signature(p)
+        self.terms = weights.null_terms(p)
         self._df = df
         self._scale = scale
 
@@ -264,6 +264,19 @@ def test_run_test_validation():
     other = _Chi2Law(3, WeightSequence.delta(2), df=5)
     with pytest.raises(ValueError):
         run_test(sample, w, alpha=0.05, law=other)
+
+
+def test_run_test_decides_only_with_the_null_law():
+    # an alternative law of the same degrees and weights, or the null law
+    # at another p, would move the critical value
+    sample = sample_uniform(3, 40, seed=23)
+    w = WeightSequence.delta(1)
+    assert run_test(sample, w, 0.05, limit_law(w, 3)).critical_value == pytest.approx(
+        stats.chi2.ppf(0.95, 3), rel=1e-10)
+    with pytest.raises(ValueError, match="not the null law"):
+        run_test(sample, w, 0.05, limit_law(w, 3, vmf(), 2.0, 0.5))
+    with pytest.raises(ValueError, match="not the null law"):
+        run_test(sample, w, 0.05, limit_law(w, 4))
 
 
 def test_result_record_round_trip():

@@ -5,13 +5,15 @@ exact rational/symbolic arithmetic).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sobotest import specfun
 
-from oracles.gegen_coeffs_oracle import gegenbauer_coeffs
+from oracles.gegen_coeffs_oracle import (gegen_poly_closed_form, gegenbauer_coeffs,
+                                         monomial_expansion_closed_form)
 
 # frozen from tests/oracles/specfun_oracle.py
 GEGEN_POINTS = [
@@ -176,6 +178,22 @@ def test_monomial_reconstruction():
             m = specfun.monomial_to_gegenbauer(p, i)
             recon = sum(m[k] * specfun.gegenbauer_eval(lam, k, t) for k in range(i + 1))
             np.testing.assert_allclose(recon, t**i, rtol=0, atol=1e-10)
+
+
+def test_exact_tables_match_closed_forms_and_invert():
+    # the recurrence tables equal the closed-form sums of the oracle, and
+    # t^i = sum_k m_{k,i} C_k holds as an identity of exact polynomials
+    for p in range(2, 32):
+        lam = Fraction(p - 2, 2)
+        polys = [specfun._gegen_poly_exact(lam, k) for k in range(specfun.MAX_DEGREE + 1)]
+        for k, poly in enumerate(polys):
+            assert poly == gegen_poly_closed_form(lam, k), (p, k)
+        for i in range(specfun.MAX_DEGREE + 1):
+            m = specfun._monomial_to_gegenbauer_exact(p, i)
+            assert m == monomial_expansion_closed_form(p, i), (p, i)
+            recon = [sum(m[k] * polys[k][power] for k in range(power, i + 1))
+                     for power in range(i + 1)]
+            assert recon == [0] * i + [1], (p, i)
 
 
 def test_monomial_degree_cap():
