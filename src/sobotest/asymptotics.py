@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .rng import stream
 from .rotsym import AngularFunction
@@ -56,6 +56,7 @@ _CLEARANCE = 1.5       # least distance, in sigma, of the contour's apex from th
 _SPAN = 16.0           # u-length of one block of nodes
 _MAX_STEPS = 60        # iterations of a Newton search, blocks of a contour
 _DUAL_FORM_RTOL = 1e-10
+_MILLS_TERMS = 12      # terms of Mills' ratio's series, the last below 1e-24 from w = 30
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,23 @@ def _gap(a: float, b: float) -> float:
     return 2.0 * abs(b) / (1.0 + math.sqrt(disc)) if disc > 0.0 else 0.5 / a
 
 
+def _log_normal_sf(w: float) -> float:
+    """log P[Z > w] for a standard normal Z, relative to a few ulp from
+    w = 0 on (below 0, to the w^2 ulp by which a rounding of w moves
+    P[Z < w]): log1p where the tail is near 1, erfc up to w = 30, and past
+    it the asymptotic series log(phi(w) / w) + log(1 - 1/w^2 + 3/w^4 - ...)."""
+    if w < 0.0:
+        return math.log1p(-0.5 * math.erfc(-w * math.sqrt(0.5)))
+    if w < 30.0:
+        return math.log(0.5 * math.erfc(w * math.sqrt(0.5)))
+    u = 1.0 / (w * w)
+    term, series = 1.0, 0.0
+    for j in range(1, _MILLS_TERMS + 1):
+        term *= -(2 * j - 1) * u
+        series += term
+    return -0.5 * w * w - math.log(w) - 0.5 * math.log(2.0 * math.pi) + math.log1p(series)
+
+
 class MixtureLaw:
     """Distribution of Q = sum_k w_k Y_k with independent chi-square terms
     Y_k ~ chi2(df_k, nc_k), evaluated deterministically; nothing is drawn.
@@ -402,7 +420,7 @@ class MixtureLaw:
         x = K'(c) needs no saddle solve: on the saddlepoint tail from the
         normal approximation, then on the contour from that root.  The last
         step is taken in x, which near the cut resolves finer than K'(c)."""
-        c = min(-float(ndtri(alpha)) / math.sqrt(self._cumulants(0.0)[2]), 0.5 * self._cut)
+        c = min(-NormalDist().inv_cdf(alpha) / math.sqrt(self._cumulants(0.0)[2]), 0.5 * self._cut)
         exact = False
         for _ in range(2 * _MAX_STEPS):
             k0, k1, k2, _ = self._cumulants(c)
@@ -416,7 +434,7 @@ class MixtureLaw:
                 w = math.copysign(math.sqrt(max(-2.0 * k0, 0.0)), c)
                 if abs(w) > 1e-4:
                     w += math.log(c * math.sqrt(k2) / w) / w
-                log_tail = float(log_ndtr(-w))
+                log_tail = _log_normal_sf(w)
                 hazard = math.exp(k0 - log_tail) / math.sqrt(2.0 * math.pi * k2)
             dx = (log_tail - math.log(alpha)) / hazard
             step = min(c + dx / k2, 0.5 * (c + self._cut)) - c

@@ -17,6 +17,7 @@ from .harness import (
     _ANGULAR_FUNCTIONS,
     ExperimentConfig,
     PowerTable,
+    _split_fields,
     angular_function,
     parse_weights,
     run_power_experiment,
@@ -116,9 +117,7 @@ def _cmd_power_curve(args) -> int:
 def _cmd_asymptotic(args) -> int:
     weights = parse_weights(args.weights)
     f = angular_function(args.f, args.b)
-    taus = [float(v) for v in args.taus.split(",") if v.strip()]
-    if not taus:
-        raise ValueError("empty tau grid")
+    taus = [float(v) for v in _split_fields(args.taus, "--taus")]
     text = power_curve_csv(weights, args.p, f, taus, args.alpha, q=args.order)
     _write_out(args.out, text)
     return 0

@@ -18,7 +18,6 @@ every parallelism degree.
 
 import configparser
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -51,15 +50,22 @@ def angular_function(f_id: str, b: int = 3) -> AngularFunction:
     return _ANGULAR_FUNCTIONS[f_id](b)
 
 
+def _split_fields(text: str, what: str, sep: str = ",") -> list:
+    """Stripped fields of a separated list; an empty field is malformed
+    text, not a value to skip."""
+    fields = [v.strip() for v in text.split(sep)]
+    if not all(fields):
+        raise ValueError(f"empty field in {what} {text!r}")
+    return fields
+
+
 def parse_weights(text: str) -> WeightSequence:
     """Weight sequence from a name (rayleigh, bingham, 3-test) or a
     comma-separated list of weights for degrees 1, 2, ..."""
     name = text.strip()
     if name in _NAMED_TESTS:
         return WeightSequence.delta(_NAMED_TESTS[name], name=name)
-    fields = [v.strip() for v in name.split(",")]
-    if not all(fields):
-        raise ValueError(f"empty field in weight list {text!r}")
+    fields = _split_fields(text, "weight list")
     try:
         values = [float(v) for v in fields]
     except ValueError:
@@ -137,8 +143,8 @@ class ExperimentConfig:
             try:
                 if fd.type is tuple:
                     kind = type(fd.default[0])
-                    items = text.split(";" if fd.name == "tests" else ",")
-                    kwargs[fd.name] = tuple(kind(v.strip()) for v in items if v.strip())
+                    items = _split_fields(text, "list", ";" if fd.name == "tests" else ",")
+                    kwargs[fd.name] = tuple(kind(v) for v in items)
                 else:
                     kwargs[fd.name] = fd.type(text)
             except ValueError as exc:
@@ -299,6 +305,8 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
              for ell in config.rate_exponents
              for taui in range(len(config.tau_grid))]
     if config.parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.parallelism,
                                  initializer=_bind_pool_engine,
                                  initargs=(config,)) as pool:

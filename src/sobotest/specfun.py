@@ -1,6 +1,8 @@
 """Gegenbauer/Chebyshev polynomials, harmonic dimensions and moment
 constants used throughout the package, plus Gauss-Jacobi quadrature for
-the weight (1 - s^2)^((p-3)/2) on (-1, 1)."""
+the weight (1 - s^2)^((p-3)/2) on (-1, 1).  The quadrature is the one
+use of scipy in the package; it imports scipy.special when first called,
+so `import sobotest` does not load scipy."""
 
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 __all__ = [
     "MAX_DEGREE",
@@ -225,6 +226,8 @@ def gauss_jacobi_rule(p: int, order: int) -> QuadratureRule:
         raise ValueError(f"p must be >= 2, got {p}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    from scipy.special import roots_jacobi
+
     a = (p - 3) / 2.0
     nodes, weights = roots_jacobi(order, a, a)
     nodes = np.clip(nodes, -1.0, 1.0)

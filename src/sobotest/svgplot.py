@@ -6,7 +6,7 @@ dotted/dashed per sample size; the asymptotic power curve is drawn solid
 and only for series whose cells sit on the detection threshold.
 """
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .harness import PowerTable
 
@@ -126,7 +126,7 @@ def emit_svg(table: PowerTable, alpha: float = 0.05) -> str:
         y = y_leg + 16 * (i + 1)
         parts.append(f'<line x1="10" y1="{y - 4}" x2="40" y2="{y - 4}" '
                      f'stroke="{color[t]}" stroke-width="2"/>')
-        label = escape(t) + "".join(
+        label = escape(t, quote=False) + "".join(
             f", n={n} ({dash[n]})" for n in sizes)
         parts.append(f'<text x="46" y="{y}" font-size="12">{label}</text>')
 

@@ -5,16 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import sobotest
 from sobotest.asymptotics import (
     AsymptoticPower,
     MixtureLaw,
     ThresholdReport,
+    _log_normal_sf,
     classify_threshold,
     expansion_coeffs,
     expansion_system,
@@ -512,6 +514,18 @@ def test_single_term_quantile_is_deterministic_series_value():
     assert value == pytest.approx(stats.chi2.isf(1e-20, 3), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-250, 1e-100])
+def test_quantile_far_in_the_tail(alpha):
+    # past w = 30 the search's normal tail is the asymptotic series
+    rayleigh = limit_law(parse_weights("rayleigh"), 3)
+    value, se = rayleigh.quantile(alpha)
+    assert value == pytest.approx(stats.chi2.isf(alpha, 3), rel=1e-12)
+    assert abs(rayleigh.tail(value)[0] - alpha) <= se
+    three = limit_law(parse_weights("3-test"), 10)
+    value, se = three.quantile(alpha)
+    assert abs(three.tail(value)[0] - alpha) <= se
+
+
 def test_single_term_tail_series_value():
     law = MixtureLaw(3, [(1.0, 3, 3.0)])
     value, se = law.tail(7.814727903251179)
@@ -698,14 +712,38 @@ def test_law_table_gate():
         assert abs(level - alpha) <= float(row["se"]) + float(row["root_tol"]) + se, (row, level)
 
 
-def test_import_loads_neither_scipy_stats_nor_optimize():
-    code = ("import sys, sobotest; "
-            "print(*[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+def test_import_loads_no_scipy():
+    # nor the process pool, nor xml.sax with the urllib/http/ssl tree it pulls in
+    heavy = ("concurrent.futures.process", "xml.sax", "urllib.request")
+    code = ("import sys, sobotest; print(*sorted(m for m in sys.modules "
+            f"if m == 'scipy' or m.startswith('scipy.') or m in {heavy!r}))")
     src = str(Path(sobotest.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+def test_log_normal_sf_matches_scipy():
+    # the r* phase of the quantile search, on both sides of 0 and on the
+    # asymptotic series past w = 30; the log1p branch keeps w < 0 relative
+    eps = np.finfo(float).eps
+    ws = np.concatenate([np.linspace(-40.0, 40.0), np.geomspace(30.0, 1e8)])
+    for w in ws:
+        value, ref = _log_normal_sf(float(w)), float(special.log_ndtr(-w))
+        # below 0 the value is about -P[Z > -w], which one rounding of w
+        # moves by w^2 eps relative, in scipy as here (it is 1e-13 off the
+        # exact value near w = -34); a log below the smallest normal double
+        # has no relative precision at all
+        rtol = 2e-15 + (w * w * eps if w < 0.0 else 0.0)
+        assert abs(value - ref) <= rtol * abs(ref) + sys.float_info.min, w
+
+
+def test_normal_start_matches_scipy():
+    for alpha in np.geomspace(1e-300, 0.5):
+        value, ref = NormalDist().inv_cdf(float(alpha)), float(special.ndtri(alpha))
+        assert abs(value - ref) <= 1e-15 * abs(ref), alpha
 
 
 def test_inversion_matches_series_on_single_terms():

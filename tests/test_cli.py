@@ -246,6 +246,25 @@ def test_weight_list_with_an_empty_field_exits_2(tmp_path, capsys, weights):
     assert repr(weights) in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("--taus", "0,,1"), ("tau_grid", "0,,2"), ("n_list", "20,,30"),
+    ("tests", "rayleigh;;bingham"),
+])
+def test_list_with_an_empty_field_exits_2(tmp_path, capsys, key, value):
+    # as in a weight list, an empty field is an error, not a value to skip
+    if key == "--taus":
+        argv = ("asymptotic", "--weights", "rayleigh", "--f", "vmf", "--p", "3", key, value)
+    else:
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[experiment]\np = 3\nf = vmf\nreplicates = 5\n{key} = {value}\n",
+                          encoding="utf-8")
+        argv = ("power-curve", str(config))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert key in err and repr(value) in err
+
+
 @pytest.mark.parametrize("asym,flag", [("0.5", "true"), ("", "false")])
 def test_plot_rejects_a_trivial_flag_that_disagrees_with_asym_power(
         tmp_path, capsys, asym, flag):

@@ -174,6 +174,18 @@ def test_config_from_file_malformed(tmp_path, text):
         ExperimentConfig.from_file(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_list", "20,,30"), ("n_list", "20,"), ("tau_grid", "0,,2"),
+    ("rate_exponents", ",2"), ("tests", "rayleigh;;bingham"), ("tests", "rayleigh;"),
+])
+def test_config_list_with_an_empty_field_names_the_key(tmp_path, key, value):
+    # an empty field is malformed text, not a value to skip
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[experiment]\np = 3\nf = vmf\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"malformed value of {key} .*empty field"):
+        ExperimentConfig.from_file(path)
+
+
 # ------------------------------------------------------------ power table
 
 def sample_table():

@@ -112,6 +112,11 @@ def test_labels_escaped():
     svg = emit_svg(PowerTable((row(test="v<1>"),)))
     ET.fromstring(svg)
     assert "v&lt;1&gt;" in svg
+    # text content needs only &, < and > escaped; quotes stay as written
+    svg = emit_svg(PowerTable((row(test="a&b<c>\"d'e"),)))
+    assert ">a&amp;b&lt;c&gt;\"d'e, n=500 (" in svg
+    legend = [el.text for el in elements(svg, "text") if el.text.startswith("a&b")]
+    assert legend == ["a&b<c>\"d'e, n=500 (2,4)"]
 
 
 def test_degenerate_tau_span():
