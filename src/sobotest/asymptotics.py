@@ -255,6 +255,8 @@ def _log_normal_sf(w: float) -> float:
 class MixtureLaw:
     """Distribution of Q = sum_k w_k Y_k with independent chi-square terms
     Y_k ~ chi2(df_k, nc_k), evaluated deterministically; nothing is drawn.
+    `terms` holds the (w_k, df_k, nc_k) triples; the dimension enters only
+    through df_k (see limit_law).
 
     A tail is the Bromwich integral (1/2 pi i) int exp(K(s) - s x) ds / s of
     the cumulant generating function K, by the trapezoid rule along the
@@ -267,9 +269,7 @@ class MixtureLaw:
     1e-60) errors stay below 1.3e-12 relative above the mean and 1e-13
     below it, each within its `se`."""
 
-    def __init__(self, p: int, terms, tail_bound: float = 0.0):
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
+    def __init__(self, terms, tail_bound: float = 0.0):
         clean = []
         for weight, df, nc in terms:
             weight, df, nc = float(weight), int(df), float(nc)
@@ -284,7 +284,6 @@ class MixtureLaw:
             raise ValueError("a mixture needs at least one term")
         if tail_bound < 0.0:
             raise ValueError(f"tail bound must be >= 0, got {tail_bound}")
-        self.p = p
         self.terms = tuple(clean)
         self.tail_bound = float(tail_bound)
         self._quantiles = {}
@@ -489,7 +488,7 @@ def limit_law(weights: WeightSequence, p: int,
                         noncentral[k] = noncentrality_delayed(
                             p, k, report.k_star, tau, f)
     terms = [(v2, df, noncentral[k]) for k, (v2, df, _) in zip(active, weights.null_terms(p))]
-    return MixtureLaw(p, terms, tail_bound=tail_bound)
+    return MixtureLaw(terms, tail_bound=tail_bound)
 
 
 @dataclass(frozen=True)
@@ -528,6 +527,7 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
 
 def power_curve_csv(weights: WeightSequence, p: int, f: AngularFunction,
                     taus, alpha: float, q: int = 12) -> str:
+    taus = list(taus)
     rows = power_curve(weights, p, f, taus, alpha, q=q)
     lines = ["tau,power,se,flag"]
     for tau, row in zip(taus, rows):

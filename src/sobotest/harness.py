@@ -157,6 +157,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PowerRow:
+    """One (test, n, ell, tau) cell of a power table."""
+
     test: str
     n: int
     ell: int
@@ -164,7 +166,11 @@ class PowerRow:
     reject_freq: float
     mc_se: float
     asym_power: Optional[float]
-    trivial: bool
+
+    @property
+    def trivial(self) -> bool:
+        """Off the test's detection threshold: no asymptotic power."""
+        return self.asym_power is None
 
 
 _CSV_HEADER = "test,n,ell,tau,reject_freq,mc_se,asym_power,trivial"
@@ -215,8 +221,7 @@ class PowerTable:
                 rows.append(PowerRow(
                     test=test, n=int(n), ell=int(ell), tau=float(tau),
                     reject_freq=float(freq), mc_se=float(se),
-                    asym_power=None if asym == "" else float(asym),
-                    trivial=(flag == "true")))
+                    asym_power=None if asym == "" else float(asym)))
             except ValueError as exc:
                 raise ValueError(f"malformed power table row {ln!r}: "
                                  f"{exc}") from exc
@@ -323,6 +328,5 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
             rows.append(PowerRow(
                 test=weights.name, n=n, ell=ell,
                 tau=config.tau_grid[taui], reject_freq=freq, mc_se=se,
-                asym_power=None if curve is None else curve[taui],
-                trivial=curve is None))
+                asym_power=None if curve is None else curve[taui]))
     return PowerTable(tuple(rows))

@@ -79,11 +79,6 @@ def _panel_frame(panel, ell, alpha, parts):
                  f'fill="gray">alpha = {alpha:g}</text>')
 
 
-def _series_points(rows):
-    pts = sorted((r.tau, r) for r in rows)
-    return [r for _, r in pts]
-
-
 def emit_svg(table: PowerTable, alpha: float = 0.05) -> str:
     """Render a power table as a standalone SVG 1.1 document, with the
     level alpha drawn in every panel."""
@@ -93,16 +88,20 @@ def emit_svg(table: PowerTable, alpha: float = 0.05) -> str:
     if not rows:
         raise ValueError("cannot plot an empty table")
     ells = sorted({r.ell for r in rows})
-    tests = []
-    for r in rows:
-        if r.test not in tests:
-            tests.append(r.test)
+    tests = list(dict.fromkeys(r.test for r in rows))
     sizes = sorted({r.n for r in rows})
     tau_min = min(r.tau for r in rows)
     tau_max = max(r.tau for r in rows)
     color = {t: _COLORS[i % len(_COLORS)] for i, t in enumerate(tests)}
     dash = {n: _EMPIRICAL_DASHES[i % len(_EMPIRICAL_DASHES)]
             for i, n in enumerate(sizes)}
+    # one stable pass in tau order; every n repeats the asymptotic curve
+    # of its (ell, test), so the first row at each tau gives it
+    series, curves = {}, {}
+    for r in sorted(rows, key=lambda r: r.tau):
+        series.setdefault((r.ell, r.test, r.n), []).append(r)
+        if not r.trivial:
+            curves.setdefault((r.ell, r.test), {}).setdefault(r.tau, r.asym_power)
 
     legend_height = 24 + 16 * len(tests)
     grid_cols = min(_COLUMNS, len(ells))
@@ -138,42 +137,29 @@ def emit_svg(table: PowerTable, alpha: float = 0.05) -> str:
         for t in tests:
             stroke = color[t]
             for n in sizes:
-                series = _series_points(
-                    [r for r in rows
-                     if r.ell == ell and r.test == t and r.n == n])
-                if not series:
-                    continue
+                points = series.get((ell, t, n), [])
                 coords = " ".join(f"{_fmt(panel.x(r.tau))},"
                                   f"{_fmt(panel.y(r.reject_freq))}"
-                                  for r in series)
-                if len(series) > 1:
+                                  for r in points)
+                if len(points) > 1:
                     parts.append(f'<polyline points="{coords}" fill="none" '
                                  f'stroke="{stroke}" stroke-width="1.5" '
                                  f'stroke-dasharray="{dash[n]}"/>')
-                for r in series:
+                for r in points:
                     parts.append(f'<circle cx="{_fmt(panel.x(r.tau))}" '
                                  f'cy="{_fmt(panel.y(r.reject_freq))}" '
                                  f'r="2.5" fill="{stroke}"/>')
-            solid = _series_points(
-                [r for r in rows
-                 if r.ell == ell and r.test == t
-                 and not r.trivial and r.asym_power is not None])
-            if solid:
-                seen = []
-                for r in solid:
-                    if not seen or seen[-1][0] != r.tau:
-                        seen.append((r.tau, r.asym_power))
-                coords = " ".join(f"{_fmt(panel.x(tau))},"
-                                  f"{_fmt(panel.y(pw))}"
-                                  for tau, pw in seen)
-                if len(seen) > 1:
-                    parts.append(f'<polyline points="{coords}" fill="none" '
-                                 f'stroke="{stroke}" stroke-width="2"/>')
-                else:
-                    tau, pw = seen[0]
-                    parts.append(f'<circle cx="{_fmt(panel.x(tau))}" '
-                                 f'cy="{_fmt(panel.y(pw))}" r="2" '
-                                 f'fill="none" stroke="{stroke}"/>')
+            curve = list(curves.get((ell, t), {}).items())
+            coords = " ".join(f"{_fmt(panel.x(tau))},{_fmt(panel.y(pw))}"
+                              for tau, pw in curve)
+            if len(curve) > 1:
+                parts.append(f'<polyline points="{coords}" fill="none" '
+                             f'stroke="{stroke}" stroke-width="2"/>')
+            elif curve:
+                tau, pw = curve[0]
+                parts.append(f'<circle cx="{_fmt(panel.x(tau))}" '
+                             f'cy="{_fmt(panel.y(pw))}" r="2" '
+                             f'fill="none" stroke="{stroke}"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -498,13 +498,13 @@ def test_noncentral_series_stays_a_probability():
 
 
 def test_single_term_quantile_is_deterministic_series_value():
-    law = MixtureLaw(3, [(1.0, 3, 0.0)])
+    law = MixtureLaw([(1.0, 3, 0.0)])
     value, se = law.quantile(0.05)
     assert value == pytest.approx(stats.chi2.ppf(0.95, 3), rel=1e-10)
     assert value == pytest.approx(7.814727903251179, rel=1e-10)
     # the contour's error bound
     assert 0.0 <= se <= 1e-12
-    noncentral = MixtureLaw(3, [(2.0, 5, 3.7)])
+    noncentral = MixtureLaw([(2.0, 5, 3.7)])
     value, se = noncentral.quantile(0.1)
     assert value == pytest.approx(2.0 * stats.ncx2.ppf(0.9, 5, 3.7), rel=1e-8)
     assert 0.0 <= se <= 1e-12
@@ -527,7 +527,7 @@ def test_quantile_far_in_the_tail(alpha):
 
 
 def test_single_term_tail_series_value():
-    law = MixtureLaw(3, [(1.0, 3, 3.0)])
+    law = MixtureLaw([(1.0, 3, 3.0)])
     value, se = law.tail(7.814727903251179)
     assert value == pytest.approx(stats.ncx2.sf(7.814727903251179, 3, 3.0), rel=1e-9)
     # frozen from a direct Poisson-mixture sum over central tails
@@ -536,7 +536,7 @@ def test_single_term_tail_series_value():
     assert 0.0 <= se <= 1e-12
     # deep in a noncentral tail, where the mode-centred Poisson window
     # misses the terms that carry the mass
-    law = MixtureLaw(3, [(1.0, 5, 30.0)])
+    law = MixtureLaw([(1.0, 5, 30.0)])
     value, se = law.tail(500.0)
     assert abs(value - stats.ncx2.sf(500.0, 5, 30.0)) <= se
     assert value == pytest.approx(stats.ncx2.sf(500.0, 5, 30.0), rel=1e-11, abs=0.0)
@@ -547,7 +547,7 @@ def test_series_bound_covers_rounding_at_large_noncentrality():
     # the mean, where rounding in the exponent grows with the noncentrality
     for nc in (10.0, 500.0, 9495.0, 3.8e4, 2e5, 7.8e5, 2e6, 5e6):
         for df in (3, 5, 54):
-            law = MixtureLaw(3, [(1.0, df, nc)])
+            law = MixtureLaw([(1.0, df, nc)])
             for x in nc + df + np.array([-2.0, 0.0, 2.0]) * math.sqrt(2.0 * (df + 2.0 * nc)):
                 value, se = law.tail(x)
                 cdf_err = abs((1.0 - value) - stats.ncx2.cdf(x, df, nc))
@@ -556,7 +556,7 @@ def test_series_bound_covers_rounding_at_large_noncentrality():
                 assert sf_err <= se + 1e-15, (nc, df, x, sf_err, se)
                 if x >= nc + df:
                     assert sf_err <= 1e-11 * stats.ncx2.sf(x, df, nc), (nc, df, x, sf_err)
-    assert 0.0 <= MixtureLaw(3, [(1.0, 5, 0.0)]).tail(4.0)[1] <= 1e-12
+    assert 0.0 <= MixtureLaw([(1.0, 5, 0.0)]).tail(4.0)[1] <= 1e-12
 
 
 def test_single_term_law_draws_nothing(monkeypatch):
@@ -567,7 +567,7 @@ def test_single_term_law_draws_nothing(monkeypatch):
     monkeypatch.setattr(MixtureLaw, "sample", no_sample)
     for terms in ([(1.0, 3, 0.0)], [(0.5, 5, 2.5)],
                   [(1.0, 3, 0.0), (0.25, 5, 0.0)], [(1.0, 2, 3.0), (0.5, 2, 0.0)]):
-        law = MixtureLaw(3, terms)
+        law = MixtureLaw(terms)
         law.quantile(0.05)
         law.tail(4.0)
     weights = WeightSequence.finite([1.0, 0.5])
@@ -610,7 +610,7 @@ def _dkw_gap(law, seed, cdf):
 @pytest.mark.parametrize("nc", [0.0, 6.5])
 def test_single_term_series_within_dkw_band_of_sample(p, nc):
     df = harmonic_dim(p, 2)
-    law = MixtureLaw(p, [(0.5, df, nc)])
+    law = MixtureLaw([(0.5, df, nc)])
     for seed in (0, 5, 10, 11):
         gap, eps = _dkw_gap(law, seed, lambda x: noncentral_chi2_cdf(x / 0.5, df, nc))
         assert gap <= eps, (seed, gap, eps)
@@ -619,8 +619,8 @@ def test_single_term_series_within_dkw_band_of_sample(p, nc):
 @pytest.mark.parametrize("p", [2, 3, 10])
 @pytest.mark.parametrize("nc", [0.0, 6.5])
 def test_multi_term_inversion_within_dkw_band_of_sample(p, nc):
-    law = MixtureLaw(p, [(1.0, harmonic_dim(p, 1), nc), (0.25, harmonic_dim(p, 2), 0.0),
-                         (0.16, harmonic_dim(p, 3), 0.5 * nc)])
+    law = MixtureLaw([(1.0, harmonic_dim(p, 1), nc), (0.25, harmonic_dim(p, 2), 0.0),
+                      (0.16, harmonic_dim(p, 3), 0.5 * nc)])
     for seed in (0, 5, 10, 11):
         gap, eps = _dkw_gap(law, seed, lambda xs: np.array([1.0 - law.tail(x)[0] for x in xs]))
         assert gap <= eps, (seed, gap, eps)
@@ -628,12 +628,12 @@ def test_multi_term_inversion_within_dkw_band_of_sample(p, nc):
 
 def test_mixture_sample_determinism_and_scaling():
     terms = [(1.0, 3, 0.0), (0.5, 5, 1.2)]
-    law_a = MixtureLaw(3, terms)
-    law_b = MixtureLaw(3, terms)
+    law_a = MixtureLaw(terms)
+    law_b = MixtureLaw(terms)
     assert np.array_equal(law_a.sample(seed=11), law_b.sample(seed=11))
     assert not np.array_equal(law_a.sample(seed=11), law_a.sample(seed=12))
 
-    doubled = MixtureLaw(3, [(2.0, 3, 0.0), (1.0, 5, 1.2)])
+    doubled = MixtureLaw([(2.0, 3, 0.0), (1.0, 5, 1.2)])
     assert np.array_equal(doubled.sample(seed=11), 2.0 * law_a.sample(seed=11))
     q1, _ = law_a.quantile(0.05)
     q2, _ = doubled.quantile(0.05)
@@ -653,7 +653,7 @@ def test_two_term_mixture_against_collapsed_chi_square():
         ([(2.0, 1, 0.0), (2.0, 1, 0.0)], stats.chi2(2, scale=2.0)),
     ]
     for terms, exact in cases:
-        law = MixtureLaw(3, terms)
+        law = MixtureLaw(terms)
         for alpha in (0.01, 0.05, 0.5, 0.9):
             value, se = law.quantile(alpha)
             level = exact.sf(value)
@@ -670,7 +670,7 @@ def test_two_term_mixture_against_collapsed_chi_square():
 def test_multi_term_deep_tails_against_a_convolution():
     # chi2_3 + 0.25 chi2_5 by a 50-digit mpmath convolution, with relative
     # accuracy where an absolute bound of 1e-12 says nothing
-    law = MixtureLaw(3, [(1.0, 3, 0.0), (0.25, 5, 0.0)])
+    law = MixtureLaw([(1.0, 3, 0.0), (0.25, 5, 0.0)])
     for x, ref in ((60.0, 1.190300076712181e-12), (100.0, 3.164158476626641e-21),
                    (200.0, 8.623994182577256e-43)):
         value, se = law.tail(x)
@@ -683,7 +683,7 @@ def test_p2_law_against_its_closed_form():
     # exponentials with distinct rates has the upper tail
     # sum_k prod_{j != k} l_j / (l_j - l_k) exp(-l_k x)
     weights = (1.0, 0.25, 0.0625)
-    law = MixtureLaw(2, [(w, 2, 0.0) for w in weights])
+    law = MixtureLaw([(w, 2, 0.0) for w in weights])
     rates = [0.5 / w for w in weights]
     for x in (10.0, 50.0, 1000.0):
         ref = math.fsum(
@@ -749,7 +749,7 @@ def test_normal_start_matches_scipy():
 def test_inversion_matches_series_on_single_terms():
     # the contour against the Poisson-series oracle and its truncation bound
     for terms in ([(1.0, 5, 0.0)], [(2.0, 10, 30.0)], [(0.7, 54, 4.0)]):
-        law = MixtureLaw(3, terms)
+        law = MixtureLaw(terms)
         (weight, df, nc), = terms
         for alpha in (0.9, 0.5, 0.05, 1e-4):
             x = law.quantile(alpha)[0]
@@ -763,12 +763,12 @@ def test_multi_term_results_do_not_depend_on_call_history():
     terms = [(1.0, 2, 1.5), (0.25, 2, 0.0), (0.09, 2, 0.0)]
     xs = [0.05, 30.0, 2.0, 6.0, 0.5]
     alphas = [0.05, 0.5, 0.01]
-    tails = {x: MixtureLaw(2, terms).tail(x) for x in xs}
-    quantiles = {a: MixtureLaw(2, terms).quantile(a) for a in alphas}
-    law = MixtureLaw(2, terms)
+    tails = {x: MixtureLaw(terms).tail(x) for x in xs}
+    quantiles = {a: MixtureLaw(terms).quantile(a) for a in alphas}
+    law = MixtureLaw(terms)
     assert [law.quantile(a) for a in reversed(alphas)] == [quantiles[a] for a in reversed(alphas)]
     assert [law.tail(x) for x in reversed(xs)] == [tails[x] for x in reversed(xs)]
-    law = MixtureLaw(2, terms)
+    law = MixtureLaw(terms)
     assert [law.tail(x) for x in xs[::2] + xs[1::2]] == [tails[x] for x in xs[::2] + xs[1::2]]
     assert [law.quantile(a) for a in alphas[1:] + alphas[:1]] == [
         quantiles[a] for a in alphas[1:] + alphas[:1]]
@@ -786,13 +786,13 @@ def test_three_term_power_curve_against_power_3():
 
 
 def test_mixture_quantile_monotone_in_alpha():
-    law = MixtureLaw(3, [(1.0, 3, 0.0), (0.7, 5, 2.0)])
+    law = MixtureLaw([(1.0, 3, 0.0), (0.7, 5, 2.0)])
     values = [law.quantile(a)[0] for a in (0.01, 0.05, 0.1, 0.5)]
     assert values == sorted(values, reverse=True)
 
 
 def test_mixture_tail_monotone_and_wrappers():
-    law = MixtureLaw(3, [(1.0, 3, 0.0), (0.7, 5, 2.0)])
+    law = MixtureLaw([(1.0, 3, 0.0), (0.7, 5, 2.0)])
     t1, _ = law.tail(2.0)
     t2, _ = law.tail(8.0)
     assert t1 > t2
@@ -802,28 +802,32 @@ def test_mixture_tail_monotone_and_wrappers():
 
 def test_mixture_validation():
     with pytest.raises(ValueError):
-        MixtureLaw(3, [])
+        MixtureLaw([])
     with pytest.raises(ValueError):
-        MixtureLaw(3, [(0.0, 3, 0.0)])
+        MixtureLaw([(0.0, 3, 0.0)])
     with pytest.raises(ValueError):
-        MixtureLaw(3, [(1.0, 0, 0.0)])
+        MixtureLaw([(1.0, 0, 0.0)])
     with pytest.raises(ValueError):
-        MixtureLaw(3, [(1.0, 3, -0.5)])
+        MixtureLaw([(1.0, 3, -0.5)])
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"term weights must be finite and > 0, got {value}"):
-            MixtureLaw(3, [(value, 3, 0.0)])
+            MixtureLaw([(value, 3, 0.0)])
         with pytest.raises(ValueError, match=f"noncentrality must be finite and >= 0, got {value}"):
-            MixtureLaw(3, [(1.0, 3, value)])
-    law = MixtureLaw(3, [(1.0, 3, 0.0)])
+            MixtureLaw([(1.0, 3, value)])
+    law = MixtureLaw([(1.0, 3, 0.0)])
     with pytest.raises(ValueError):
         law.quantile(0.0)
 
 
 def test_mixture_record():
-    law = MixtureLaw(3, [(1.0, 3, 0.0), (0.25, 5, 1.5)], tail_bound=1e-7)
+    law = MixtureLaw([(1.0, 3, 0.0), (0.25, 5, 1.5)], tail_bound=1e-7)
     assert law.terms == ((1.0, 3, 0.0), (0.25, 5, 1.5))
     assert law.tail_bound == 1e-7
     assert not hasattr(law, "draws") and not hasattr(law, "seed")
+    # a law is its terms: the dimension enters only through their df
+    assert not hasattr(law, "p")
+    with pytest.raises(TypeError):
+        MixtureLaw(3, [(1.0, 3, 0.0)])
 
 
 def test_asymptotic_power_reference_points():
@@ -880,3 +884,10 @@ def test_power_curve_csv_format():
     assert lines[2] == "1,0.05,0,trivial"
     text = power_curve_csv(RAYLEIGH, 3, vmf(), [1.0], 0.05)
     assert text.strip().splitlines()[1].endswith(",ok")
+
+
+def test_power_curve_csv_takes_a_one_shot_iterable():
+    taus = [0.0, 1.0]
+    text = power_curve_csv(RAYLEIGH, 3, vmf(), taus, 0.05)
+    assert len(text.splitlines()) == 3
+    assert power_curve_csv(RAYLEIGH, 3, vmf(), (t for t in taus), 0.05) == text

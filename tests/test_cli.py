@@ -1,6 +1,7 @@
 """Command line interface: subcommand behaviour and exit codes."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from sobotest.asymptotics import MixtureLaw
 from sobotest.cli import cli
 from sobotest.harness import PowerTable
 from sobotest.rotsym import SphericalSample, sample_uniform, save_csv
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -188,6 +191,33 @@ def test_plot_to_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "plot", str(table_csv))
     assert code == 0
     assert out.startswith('<?xml version="1.0"')
+
+
+def solid_polylines(svg_text):
+    root = ET.fromstring(svg_text)
+    return [p for p in root.iter("{http://www.w3.org/2000/svg}polyline")
+            if p.get("stroke-dasharray") is None]
+
+
+def test_power_curve_then_plot_with_two_sample_sizes(tmp_path, capsys):
+    # the README flow: every sample size carries the asymptotic curve of
+    # the threshold cell, so each tau of that curve appears twice
+    config = tmp_path / "exp.ini"
+    config.write_text(
+        "[experiment]\np = 3\nf = vmf\ntests = rayleigh\nn_list = 20, 40\n"
+        "rate_exponents = 2\ntau_grid = 0, 1\nreplicates = 4\n", encoding="utf-8")
+    table_csv = tmp_path / "table.csv"
+    out_svg = tmp_path / "fig.svg"
+    assert run(capsys, "power-curve", str(config), "--out", str(table_csv))[0] == 0
+    assert run(capsys, "plot", str(table_csv), "--out", str(out_svg))[0] == 0
+    assert len(solid_polylines(out_svg.read_text(encoding="utf-8"))) == 1
+
+
+def test_plot_readme_golden_table(capsys):
+    code, out, _ = run(capsys, "plot", str(GOLDEN_DIR / "readme_vmf_m8.csv"))
+    assert code == 0
+    # rayleigh at ell = 2, bingham at 4 and the 3-test at 6
+    assert len(solid_polylines(out)) == 3
 
 
 # ------------------------------------------------------------- exit codes

@@ -2,6 +2,8 @@
 determinism, and attachment of asymptotic reference curves."""
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from sobotest.sobolev import stat_harmonic
 # Frozen reference: asymptotic Rayleigh power at p=3, vmf, threshold rate,
 # tau=2 (noncentral chi-square, 3 df, noncentrality 4/3, at the 5% point).
 RAYLEIGH_VMF_TAU2 = 0.1402363953
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def tiny_config(**overrides):
@@ -190,10 +194,9 @@ def test_config_list_with_an_empty_field_names_the_key(tmp_path, key, value):
 
 def sample_table():
     return PowerTable((
-        PowerRow("rayleigh", 500, 2, 0.0, 0.05, 0.004873, 0.05, False),
-        PowerRow("rayleigh", 500, 4, 1.5, 0.049, 0.004828, None, True),
-        PowerRow("weights(1 0.5)", 5000, 2, 3.0, 0.731, 0.009916,
-                 0.74021, False),
+        PowerRow("rayleigh", 500, 2, 0.0, 0.05, 0.004873, 0.05),
+        PowerRow("rayleigh", 500, 4, 1.5, 0.049, 0.004828, None),
+        PowerRow("weights(1 0.5)", 5000, 2, 3.0, 0.731, 0.009916, 0.74021),
     ))
 
 
@@ -206,14 +209,30 @@ def test_table_csv_round_trip():
     assert PowerTable.from_csv(text) == table
 
 
+def test_trivial_follows_asym_power():
+    # trivial is read from the asymptotic cell, never stored beside it
+    assert len(fields(PowerRow)) == 7
+    with pytest.raises(TypeError):
+        PowerRow("rayleigh", 500, 2, 0.0, 0.05, 0.004873, 0.6, trivial=True)
+    on, off, _ = sample_table().rows
+    assert not on.trivial and off.trivial
+
+
+@pytest.mark.parametrize("name", ["readme_vmf_m8", "readme_watson_m8",
+                                  "p20_vmf_multi_m8", "p2_vmf_m8"])
+def test_golden_table_csv_round_trip(name):
+    text = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
+    assert PowerTable.from_csv(text).to_csv() == text
+
+
 def test_table_rejects_bad_frequency():
     with pytest.raises(ValueError):
-        PowerTable((PowerRow("rayleigh", 10, 2, 0.0, 1.2, 0.0, None, True),))
+        PowerTable((PowerRow("rayleigh", 10, 2, 0.0, 1.2, 0.0, None),))
 
 
 def test_table_rejects_unsafe_label():
     with pytest.raises(ValueError):
-        PowerTable((PowerRow("1,0.5", 10, 2, 0.0, 0.1, 0.0, None, True),))
+        PowerTable((PowerRow("1,0.5", 10, 2, 0.0, 0.1, 0.0, None),))
 
 
 def test_weight_list_rows_round_trip():

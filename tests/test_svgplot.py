@@ -14,9 +14,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def row(test="rayleigh", n=500, ell=2, tau=0.0, freq=0.05,
-        asym=None, trivial=True):
-    return PowerRow(test, n, ell, tau, freq, 0.005, asym, trivial)
+def row(test="rayleigh", n=500, ell=2, tau=0.0, freq=0.05, asym=None):
+    return PowerRow(test, n, ell, tau, freq, 0.005, asym)
 
 
 def figure_shaped_table():
@@ -25,8 +24,7 @@ def figure_shaped_table():
         for tau in (0.0, 1.0, 2.0):
             on = ell == 2
             rows.append(row(ell=ell, tau=tau, freq=0.05 + 0.1 * tau,
-                            asym=0.05 + 0.09 * tau if on else None,
-                            trivial=not on))
+                            asym=0.05 + 0.09 * tau if on else None))
             rows.append(row(n=5000, ell=ell, tau=tau, freq=0.06 + 0.1 * tau))
     return PowerTable(tuple(rows))
 
@@ -58,7 +56,7 @@ def test_single_row_single_marker():
 
 
 def test_single_point_asymptotic_open_circle():
-    svg = emit_svg(PowerTable((row(asym=0.05, trivial=False),)))
+    svg = emit_svg(PowerTable((row(asym=0.05),)))
     open_circles = [c for c in elements(svg, "circle")
                     if c.get("fill") == "none"]
     assert len(open_circles) == 1
@@ -84,6 +82,22 @@ def test_solid_curve_only_on_threshold():
     # panel for both sample sizes
     assert len(solid) == 1
     assert len(dashed) == 8
+
+
+def test_experiment_shaped_table_has_one_solid_curve():
+    # both sample sizes carry the asymptotic curve at ell = 2, as in a
+    # run_power_experiment table, and each lists tau = 1 twice
+    rows = []
+    for n in (500, 5000):
+        for tau in (0.0, 1.0, 1.0, 2.0):
+            rows.append(row(n=n, tau=tau, freq=0.05 + 0.1 * tau,
+                            asym=0.05 + 0.09 * tau))
+        rows.append(row(n=n, ell=4, tau=1.0))
+    svg = emit_svg(PowerTable(tuple(rows)))
+    solid = [p for p in elements(svg, "polyline")
+             if p.get("stroke-dasharray") is None]
+    assert len(solid) == 1
+    assert len(solid[0].get("points").split()) == 3
 
 
 def test_trivial_table_has_no_solid_curve():
