@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Optional
 
@@ -132,6 +133,7 @@ def gegenbauer_expectation_coeffs(p: int, k: int, r: int,
     return full[k:] / t_factor(p, k) ** 2
 
 
+@lru_cache(maxsize=None)
 def _zonal_drift_exact(p: int, k: int, k_star: int) -> Fraction:
     """E[C_k(t) t^k_star] under uniformity, via the alternating monomial
     coefficient sum of C_k; equals m_{k,k_star} / t_{p,k}^2.  Rational
@@ -178,13 +180,16 @@ def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
         return 0.0
     t2 = t_factor(p, k) ** 2
     m_k = monomial_to_gegenbauer(p, k_star)[k]
-    scale = fks**2 * tau ** (2 * k_star) / math.factorial(k_star) ** 2
+    try:
+        scale = fks**2 * tau ** (2 * k_star) / math.factorial(k_star) ** 2
+    except OverflowError:
+        scale = math.inf
     value = m_k**2 / t2 * scale
     drift = float(_zonal_drift_exact(p, k, k_star))
     alt = drift**2 * t2 * scale
-    if abs(value - alt) > _DUAL_FORM_RTOL * max(abs(value), abs(alt)):
-        raise ArithmeticError(
-            f"noncentrality closed forms disagree: {value!r} vs {alt!r}")
+    if value == math.inf or abs(value - alt) > _DUAL_FORM_RTOL * max(abs(value), abs(alt)):
+        raise ArithmeticError(f"noncentrality at tau={tau!r}, k={k}, k_star={k_star}: closed forms "
+                              f"give {float(value)!r} and {float(alt)!r}, not one finite value")
     return value
 
 
@@ -262,12 +267,12 @@ class MixtureLaw:
     the cumulant generating function K, by the trapezoid rule along the
     parabola s(u) = c + sigma (i u + a u^2) of steepest descent through the
     saddlepoint K'(c) = x (Trefethen & Weideman 2014); below the mean c < 0
-    and it gives the lower tail.  `quantile` runs Newton's method over c.
+    and it gives the lower tail.  `quantile` runs Newton's method over c,
+    then over x on one parabola's nodes until a step leaves their range.
     Both return as `se` a bound on rounding, trapezoid and truncation error,
-    relative to the tail above the mean and absolute below it.  Against
-    scipy and mpmath (1 to 4930 df, noncentralities up to 5e6, tails down to
-    1e-60) errors stay below 1.3e-12 relative above the mean and 1e-13
-    below it, each within its `se`."""
+    relative to the tail above the mean and absolute below it.  Against scipy
+    and mpmath (1 to 4930 df, noncentralities up to 5e6, tails to 1e-60) errors
+    stay below 1.3e-12 relative above the mean and 1e-13 below it, within `se`."""
 
     def __init__(self, terms, tail_bound: float = 0.0):
         clean = []
@@ -327,11 +332,15 @@ class MixtureLaw:
         if x <= 1e-40 * float(self._w.min()):
             # P[Q <= x] <= P[min(w) chi2_1 <= x] < (x / min(w))^(1/2)
             return 1.0, math.sqrt(max(x, 0.0) / float(self._w.min()))
-        # Chernoff: P[Q > x] <= exp(K(s) - s x) at s = cut / 2, here below
-        # the smallest double
+        # Chernoff: P[Q > x] <= exp(K(s) - s x) at s = cut / 2, here below the smallest
+        # double; P[Q <= x] <= exp(K(-s) + s x), here below eps / 4, so 1 - it rounds to 1
         if self._k_half_cut - 0.5 * self._cut * x < -746.0:
             return 0.0, 0.0
-        return self._contour(x, self._saddle(x))[:2]
+        if self._mean - x > 75.0 / self._cut:  # else K(-s) + s x >= s (x - K'(0)) > -37.5
+            k0, k1, _, _ = self._cumulants(-0.5 * self._cut)
+            if (low := k0 + 0.5 * self._cut * (x - k1)) < -37.5:
+                return 1.0, math.exp(low)
+        return self._contour(x, self._saddle(x))(x)[:2]
 
     def _cumulants(self, c: float):
         """K(c) - c K'(c), K'(c), K''(c) and K'''(c), where K(s) = sum
@@ -361,10 +370,9 @@ class MixtureLaw:
                 return -math.expm1(-v) * self._cut
         raise ArithmeticError(f"no saddlepoint found for x={x!r}")
 
-    def _contour(self, x: float, c: float):
-        """P[Q > x], its error bound and the density of Q at x, along the
-        parabola through c, the saddlepoint of x."""
-        upper = x >= self._mean
+    def _contour(self, x0: float, c: float):
+        """x -> (P[Q > x], its error, Q's density at x) on the parabola through c = saddle(x0)."""
+        upper = x0 >= self._mean
         k0, k1, k2, k3 = self._cumulants(c)
         # the apex keeps 1.5 sigma from the pole at 0, on the side of its tail
         clear = _CLEARANCE / math.sqrt(k2)
@@ -376,75 +384,91 @@ class MixtureLaw:
         a = k3 * sigma ** 3 / 6.0
         pole_gap, cut_gap = _gap(a, -c / sigma), _gap(a, (self._cut - c) / sigma)
         h = min(_STEP, min(pole_gap, cut_gap) / _STEPS_PER_GAP)
-        # per term, with s = c + delta and q = 2 w delta / (1 - 2 w c), the
-        # exponent K(s) - s x - (K(c) - c x) less its part linear in delta;
-        # those parts sum to delta (K'(c) - x)
         r = 1.0 / (1.0 - 2.0 * c * self._w)
         two_wr, nc_r = 2.0 * self._w * r, self._half_nc * r
         size = math.ceil(_SPAN / h)
-        total = density = absum = 0.0
-        for block in range(_MAX_STEPS):
+
+        @lru_cache(maxsize=None)  # the nodes of block j
+        def block(j):
             # nodes (j + 1/2) h; each mirror image -(j + 1/2) h adds minus the conjugate
-            u = h * (np.arange(block * size, (block + 1) * size) + 0.5)
+            u = h * (np.arange(j * size, (j + 1) * size) + 0.5)
             delta = sigma * u * (1j + a * u)
             q = delta[:, None] * two_wr
             z = 1.0 - q
             # numpy's complex log is several times slower than its parts
             log_z = np.log(np.abs(z)) + 1j * np.angle(z)
-            exponent = -(log_z + q) @ self._half_df + (q * q / z) @ nc_r + delta * (k1 - x)
-            e = np.exp(exponent) * (sigma * (1j + 2.0 * a * u))
-            g = (e / (c + delta)).imag
-            size_g = np.abs(g)
-            total += float(g.sum())
-            density += float(e.imag.sum())
-            absum += float(size_g.sum())
-            rest = float(size_g[-size // 4:].sum())
-            if rest <= _EPS * abs(total):
-                break
-        base = k0 + c * (k1 - x)
-        scale = math.exp(base) * h / math.pi
-        # relative rounding of one node, and the trapezoid error of the cut
-        # and of the pole, whose residue is 1
-        rounding = 32.0 * _EPS * (1.0 + float(self._half_df.sum()) + (abs(c) + sigma) * x
-                                  + abs(base))
-        err = (scale * (absum * (rounding + math.exp(-2.0 * math.pi * cut_gap / h)) + rest)
-               + math.exp(-2.0 * math.pi * pole_gap / h))
-        value = scale * total
-        if upper:
-            return value, err + _EPS * value, scale * density
-        return 1.0 + value, err + _EPS, scale * density
+            # per term, with s = c + delta and q = 2 w delta / (1 - 2 w c), the
+            # exponent K(s) - s x - (K(c) - c x) less its part linear in delta;
+            # those parts sum to delta (K'(c) - x); then ds/du and s
+            return (delta, -(log_z + q) @ self._half_df + (q * q / z) @ nc_r,
+                    sigma * (1j + 2.0 * a * u), c + delta)
+
+        def at(x: float):
+            total = density = absum = 0.0
+            for j in range(_MAX_STEPS):
+                delta, fixed, ds, s = block(j)
+                e = np.exp(fixed + delta * (k1 - x)) * ds
+                g = (e / s).imag
+                size_g = np.abs(g)
+                total += float(g.sum())
+                density += float(e.imag.sum())
+                absum += float(size_g.sum())
+                rest = float(size_g[-size // 4:].sum())
+                if rest <= _EPS * abs(total):
+                    break
+            base = k0 + c * (k1 - x)
+            scale = math.exp(base) * h / math.pi
+            # relative rounding of one node, and the trapezoid error of the cut
+            # and of the pole, whose residue is 1
+            rounding = 32.0 * _EPS * (1.0 + float(self._half_df.sum()) + (abs(c) + sigma) * x
+                                      + abs(base))
+            err = (scale * (absum * (rounding + math.exp(-2.0 * math.pi * cut_gap / h)) + rest)
+                   + math.exp(-2.0 * math.pi * pole_gap / h))
+            value = scale * total
+            if upper:
+                return value, err + _EPS * value, scale * density
+            return 1.0 + value, err + _EPS, scale * density
+        return at
 
     def _quantile(self, alpha: float):
-        """Newton's method on log P[Q > x] = log alpha over c, where
-        x = K'(c) needs no saddle solve: on the saddlepoint tail from the
-        normal approximation, then on the contour from that root.  The last
-        step is taken in x, which near the cut resolves finer than K'(c)."""
+        """Newton's method on log P[Q > x] = log alpha over c, where x = K'(c)
+        needs no saddle solve, on the saddlepoint tail from the normal
+        approximation; then on the contour from that root, over x on its nodes
+        while x keeps to K'(c)'s side of the mean and within K''(c)^(1/2)."""
         c = min(-NormalDist().inv_cdf(alpha) / math.sqrt(self._cumulants(0.0)[2]), 0.5 * self._cut)
-        exact = False
-        for _ in range(2 * _MAX_STEPS):
+        for _ in range(_MAX_STEPS):
             k0, k1, k2, _ = self._cumulants(c)
-            if exact:
-                value, err, density = self._contour(k1, c)
-                log_tail, hazard = math.log(value), density / value
-            else:
-                # Barndorff-Nielsen's r* form of the Lugannani-Rice tail,
-                # log Q(w + log(u / w) / w) with u = c K''(c)^(1/2), and the
-                # saddlepoint density over it; in logs, so nothing underflows
-                w = math.copysign(math.sqrt(max(-2.0 * k0, 0.0)), c)
-                if abs(w) > 1e-4:
-                    w += math.log(c * math.sqrt(k2) / w) / w
-                log_tail = _log_normal_sf(w)
-                hazard = math.exp(k0 - log_tail) / math.sqrt(2.0 * math.pi * k2)
+            # Barndorff-Nielsen's r* form of the Lugannani-Rice tail,
+            # log Q(w + log(u / w) / w) with u = c K''(c)^(1/2), and the
+            # saddlepoint density over it; in logs, so nothing underflows
+            w = math.copysign(math.sqrt(max(-2.0 * k0, 0.0)), c)
+            if abs(w) > 1e-4:
+                w += math.log(c * math.sqrt(k2) / w) / w
+            log_tail = _log_normal_sf(w)
+            hazard = math.exp(k0 - log_tail) / math.sqrt(2.0 * math.pi * k2)
             dx = (log_tail - math.log(alpha)) / hazard
             step = min(c + dx / k2, 0.5 * (c + self._cut)) - c
+            c += step
             # after a step of delta standard deviations the relative error
             # of the tail is about delta^2; a step too small to move c ends
             # the search too
             if dx * dx <= 1e-14 * k2 or step == 0.0:
-                if exact:
-                    return k1 + dx, err + alpha * dx * dx / k2
-                exact = True
-            c += step
+                break
+        at = None
+        for _ in range(_MAX_STEPS):
+            if at is None:
+                _, k1, k2, _ = self._cumulants(c)
+                x, at = k1, self._contour(k1, c)
+            value, err, density = at(x)
+            dx = (math.log(value) - math.log(alpha)) / (density / value)
+            shift = x - k1 + dx
+            step = min(c + shift / k2, 0.5 * (c + self._cut)) - c
+            if dx * dx <= 1e-14 * k2 or step == 0.0 or x + dx == x:
+                return x + dx, err + alpha * dx * dx / k2
+            if shift * shift <= k2 and (x + dx < self._mean) == (k1 < self._mean):
+                x += dx
+            else:
+                c, at = c + step, None
         raise ArithmeticError(f"no upper-{alpha} point found")
 
 
@@ -506,7 +530,8 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     """P[noncentral mixture > null upper-alpha point] at the threshold rate
     of the (weights, f) pair, at each tau of a grid, with the law's error
     bound as `se`; exactly alpha with the trivial flag when the
-    classification is blind.  One null critical value serves the grid."""
+    classification is blind.  One null critical value serves the grid; at
+    tau = 0 the law is the null law: the power is alpha, `se` the critical value's."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     taus = list(taus)
@@ -516,11 +541,11 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     if report.case == "blind":
         return [AsymptoticPower(alpha, 0.0, True) for _ in taus]
     null = limit_law(weights, p, q=q)
-    crit, _ = null.quantile(alpha)
+    crit, crit_se = null.quantile(alpha)
     rows = []
     for tau in taus:
         alt = limit_law(weights, p, f, tau, report.rate_exponent, q=q)
-        power, se = alt.tail(crit)
+        power, se = (alpha, crit_se) if alt.terms == null.terms else alt.tail(crit)
         rows.append(AsymptoticPower(power, se, False, alt.tail_bound))
     return rows
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from scipy import special, stats
 
 import sobotest
+from sobotest import asymptotics
 from sobotest.asymptotics import (
     AsymptoticPower,
     MixtureLaw,
@@ -305,6 +307,31 @@ def test_noncentrality_delayed_validation():
     for tau in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"tau must be finite and >= 0, got {tau}"):
             noncentrality_delayed(3, 1, 3, tau, vmf())
+
+
+def test_noncentrality_overflow_names_tau_and_degrees():
+    # tau^(2 k_star) past the largest double, and a product that rounds to inf
+    for k, k_star, tau, f in ((1, 1, 1e200, vmf()), (1, 3, 2e51, power(3)),
+                              (3, 3, 2e51, power(3))):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"noncentrality at tau={tau!r}, k={k}, k_star={k_star}: closed forms "
+                "give inf and inf, not one finite value")):
+            noncentrality_delayed(3, k, k_star, tau, f)
+
+
+def test_dual_form_check_runs_on_every_call(monkeypatch):
+    # the exact drift is memoized per (p, k, k_star); the check against the
+    # m_{k,k_star} form still runs on each call, with the cached value
+    first = noncentrality_delayed(3, 1, 3, 1.4, power(3))
+    hits = asymptotics._zonal_drift_exact.cache_info().hits
+    assert noncentrality_delayed(3, 1, 3, 2.1, power(3)) > first
+    assert asymptotics._zonal_drift_exact.cache_info().hits == hits + 1
+    exact = asymptotics._zonal_drift_exact.__wrapped__(3, 1, 3)
+    assert asymptotics._zonal_drift_exact(3, 1, 3) == exact
+    monkeypatch.setattr(asymptotics, "_zonal_drift_exact",
+                        lambda p, k, k_star: exact * Fraction(1000001, 1000000))
+    with pytest.raises(ArithmeticError, match="closed forms give"):
+        noncentrality_delayed(3, 1, 3, 1.4, power(3))
 
 
 RAYLEIGH = WeightSequence.delta(1, name="rayleigh")
@@ -834,7 +861,7 @@ def test_asymptotic_power_reference_points():
     # tau = 0 sits at the level by continuity
     [row] = power_curve(RAYLEIGH, 3, vmf(), [0.0], 0.05)
     assert not row.trivial
-    assert row.power == pytest.approx(0.05, abs=1e-9)
+    assert row.power == 0.05
     # noncentrality 1 at tau = sqrt(3); frozen from a direct Poisson sum
     [row] = power_curve(RAYLEIGH, 3, vmf(), [math.sqrt(3.0)], 0.05)
     ref = stats.ncx2.sf(stats.chi2.ppf(0.95, 3), 3, 1.0)
@@ -874,6 +901,74 @@ def test_power_curve_matches_single_calls():
     for tau, row in zip(taus, rows):
         [single] = power_curve(BINGHAM, 3, watson(), [tau], 0.05)
         assert row.power == pytest.approx(single.power, rel=1e-12)
+
+
+def test_power_curve_is_the_tail_of_each_law_at_the_critical_value():
+    # tau > 0: the tail of limit_law at the null critical value, bit for bit;
+    # tau = 0: the null law itself, whose tail at its upper-alpha point is
+    # alpha by construction, with the critical value's error
+    taus = [0.0, 0.7, 1.5, 3.0]
+    for p in (2, 3, 10):
+        for text in ("rayleigh", "bingham", "3-test", "1,0.5,0.6"):
+            weights = parse_weights(text)
+            crit, crit_se = limit_law(weights, p).quantile(0.05)
+            for f in (vmf(), watson(), power(3), cauchy()):
+                report = classify_threshold(weights, f, 12)
+                if report.case == "blind":
+                    continue
+                rows = power_curve(weights, p, f, taus, 0.05)
+                assert (rows[0].power, rows[0].se) == (0.05, crit_se)
+                for tau, row in zip(taus[1:], rows[1:]):
+                    law = limit_law(weights, p, f, tau, report.rate_exponent)
+                    assert (row.power, row.se) == law.tail(crit), (p, text, f.name, tau)
+
+
+def test_quantile_tail_round_trip():
+    # the tail at each point agrees with alpha within both errors, also
+    # where the search's first contour sits on the other side of the mean
+    # from the root (the three-term noncentral law at alpha = 0.5)
+    laws = [limit_law(parse_weights(text), p)
+            for text in ("rayleigh", "bingham", "3-test", "1,0.5,0.6") for p in (2, 3, 10)]
+    laws += [MixtureLaw(terms) for terms in ([(1.0, 2, 1.5), (0.25, 2, 0.0), (0.09, 2, 0.0)],
+                                             [(0.07, 2, 90.0), (6.7, 1, 2.0), (0.11, 1, 13.0)])]
+    for law in laws:
+        for alpha in (0.5, 0.1, 0.05, 0.01, 1e-6):
+            x, se = law.quantile(alpha)
+            level, level_se = law.tail(x)
+            assert abs(level - alpha) <= se + level_se, (law.terms, alpha, level)
+
+
+def test_contour_serves_x_within_a_standard_deviation():
+    # a quantile's Newton steps reuse the nodes of one parabola while x
+    # stays within K''(c)^(1/2) of K'(c); there they agree with the contour
+    # through x's own saddlepoint
+    for terms in ([(1.0, 3, 0.0)], [(1.0, 3, 0.0), (0.5, 5, 0.0), (0.6, 7, 0.0)],
+                  [(1.0, 2, 1.5), (0.25, 2, 0.0), (0.09, 2, 0.0)]):
+        law = MixtureLaw(terms)
+        for alpha in (0.05, 1e-6):
+            x0 = law.quantile(alpha)[0]
+            c = law._saddle(x0)
+            sd = math.sqrt(law._cumulants(c)[2])
+            at = law._contour(x0, c)
+            assert at(x0)[:2] == law.tail(x0)
+            for x in (x0 - sd, x0 - 0.5 * sd, x0 + 0.5 * sd, x0 + sd):
+                value, se, _ = at(x)
+                ref, ref_se = law.tail(x)
+                assert abs(value - ref) <= min(se + ref_se, 1e-12 * ref), (terms, alpha, x)
+
+
+def test_tail_far_below_the_mean_is_one():
+    # nc = 3.3e119 and 3.3e199: the saddlepoint search used to fail here;
+    # a Chernoff bound below eps / 4 gives 1 with the bound as its error
+    for tau in (1e60, 1e100):
+        law = limit_law(RAYLEIGH, 3, vmf(), tau, 0.5)
+        assert law.tail(7.8147) == (1.0, 0.0)
+    # where the contour runs too, both give 1
+    law = limit_law(BINGHAM, 3, watson(), 12.0, 0.25)
+    x = 11.0705
+    value, se = law.tail(x)
+    assert value == 1.0 and 0.0 < se < 5.6e-17
+    assert law._contour(x, law._saddle(x))(x)[0] == 1.0
 
 
 def test_power_curve_csv_format():

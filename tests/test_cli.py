@@ -138,6 +138,22 @@ def test_asymptotic_curve(capsys):
     assert lines[1].endswith(",ok")
 
 
+def test_asymptotic_far_out_is_power_one_or_exit_3(capsys):
+    # nc = tau^2 / 3: at 3.3e119 the critical value lies too far below the
+    # mean for the saddlepoint search, and a Chernoff bound gives power 1;
+    # 3.3e399 is past the largest double
+    for tau in ("1e40", "1e60"):
+        code, out, _ = run(capsys, "asymptotic", "--weights", "rayleigh",
+                           "--f", "vmf", "--p", "3", "--taus", f"0,{tau}")
+        assert code == 0
+        assert out.splitlines()[2].split(",")[1:] == ["1", "0", "ok"]
+    code, out, err = run(capsys, "asymptotic", "--weights", "rayleigh",
+                         "--f", "vmf", "--p", "3", "--taus", "0,1e200")
+    assert (code, out) == (3, "")
+    assert err == ("numerical error: noncentrality at tau=1e+200, k=1, k_star=1: "
+                   "closed forms give inf and inf, not one finite value\n")
+
+
 def test_asymptotic_blind_is_trivial(capsys):
     code, out, _ = run(capsys, "asymptotic", "--weights", "rayleigh",
                        "--f", "watson", "--p", "3", "--taus", "0,1")
