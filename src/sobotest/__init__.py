@@ -49,7 +49,6 @@ from .sobolev import (
     stat_kernel,
 )
 from .specfun import (
-    gauss_jacobi_rule,
     gegenbauer_eval,
     harmonic_dim,
     null_moment,
@@ -80,7 +79,6 @@ __all__ = [
     "custom",
     "emit_svg",
     "expansion_coeffs",
-    "gauss_jacobi_rule",
     "gegenbauer_eval",
     "gegenbauer_expectation_coeffs",
     "harmonic_dim",

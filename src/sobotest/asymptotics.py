@@ -204,7 +204,6 @@ class ThresholdReport:
     k_star: Optional[int] = None
     k_dagger: Optional[int] = None
     rate_exponent: Optional[float] = None
-    blind_up_to_order: Optional[int] = None
 
     def rate_string(self) -> str:
         if self.k_star is None:
@@ -230,7 +229,7 @@ def classify_threshold(weights: WeightSequence, f: AngularFunction,
             return ThresholdReport(k_v, q, case, k_star=k,
                                    k_dagger=matching[0],
                                    rate_exponent=1.0 / (2 * k))
-    return ThresholdReport(k_v, q, "blind", blind_up_to_order=q)
+    return ThresholdReport(k_v, q, "blind")
 
 
 def _gap(a: float, b: float) -> float:
@@ -274,7 +273,7 @@ class MixtureLaw:
     and mpmath (1 to 4930 df, noncentralities up to 5e6, tails to 1e-60) errors
     stay below 1.3e-12 relative above the mean and 1e-13 below it, within `se`."""
 
-    def __init__(self, terms, tail_bound: float = 0.0):
+    def __init__(self, terms):
         clean = []
         for weight, df, nc in terms:
             weight, df, nc = float(weight), int(df), float(nc)
@@ -287,10 +286,7 @@ class MixtureLaw:
             clean.append((weight, df, nc))
         if not clean:
             raise ValueError("a mixture needs at least one term")
-        if tail_bound < 0.0:
-            raise ValueError(f"tail bound must be >= 0, got {tail_bound}")
         self.terms = tuple(clean)
-        self.tail_bound = float(tail_bound)
         self._quantiles = {}
         weight, df, nc = (np.array(column, dtype=float) for column in zip(*clean))
         self._w, self._half_df, self._half_nc = weight, 0.5 * df, 0.5 * nc
@@ -327,7 +323,8 @@ class MixtureLaw:
         return self._quantiles[alpha]
 
     def tail(self, c: float):
-        """P[mixture > c] with its error."""
+        """P[mixture > c] with its error; ArithmeticError where the contour
+        gives no probability within that error."""
         x = float(c)
         if x <= 1e-40 * float(self._w.min()):
             # P[Q <= x] <= P[min(w) chi2_1 <= x] < (x / min(w))^(1/2)
@@ -340,7 +337,11 @@ class MixtureLaw:
             k0, k1, _, _ = self._cumulants(-0.5 * self._cut)
             if (low := k0 + 0.5 * self._cut * (x - k1)) < -37.5:
                 return 1.0, math.exp(low)
-        return self._contour(x, self._saddle(x))(x)[:2]
+        value, err, _ = self._contour(x, self._saddle(x))(x)
+        if not -err <= value <= 1.0 + err:
+            raise ArithmeticError(f"contour tail {value!r} at x={x!r} is not a probability "
+                                  f"within its error {err!r}")
+        return value, err
 
     def _cumulants(self, c: float):
         """K(c) - c K'(c), K'(c), K''(c) and K'''(c), where K(s) = sum
@@ -460,6 +461,8 @@ class MixtureLaw:
                 _, k1, k2, _ = self._cumulants(c)
                 x, at = k1, self._contour(k1, c)
             value, err, density = at(x)
+            if not value > 0.0:
+                raise ArithmeticError(f"contour tail {value!r} at x={x!r} is not positive")
             dx = (math.log(value) - math.log(alpha)) / (density / value)
             shift = x - k1 + dx
             step = min(c + shift / k2, 0.5 * (c + self._cut)) - c
@@ -494,7 +497,6 @@ def limit_law(weights: WeightSequence, p: int,
     if rate_exponent is not None and rate_exponent <= 0.0:
         raise ValueError(f"rate exponent must be > 0, got {rate_exponent}")
     active = weights.active_degrees(p)
-    tail_bound = weights.truncation(p).tail_mass
     noncentral = {k: 0.0 for k in active}
     if all(given) and tau > 0.0:
         report = classify_threshold(weights, f, q)
@@ -512,7 +514,7 @@ def limit_law(weights: WeightSequence, p: int,
                         noncentral[k] = noncentrality_delayed(
                             p, k, report.k_star, tau, f)
     terms = [(v2, df, noncentral[k]) for k, (v2, df, _) in zip(active, weights.null_terms(p))]
-    return MixtureLaw(terms, tail_bound=tail_bound)
+    return MixtureLaw(terms)
 
 
 @dataclass(frozen=True)
@@ -522,7 +524,6 @@ class AsymptoticPower:
     power: float
     se: float
     trivial: bool
-    tail_bound: float = 0.0
 
 
 def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
@@ -546,7 +547,7 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     for tau in taus:
         alt = limit_law(weights, p, f, tau, report.rate_exponent, q=q)
         power, se = (alpha, crit_se) if alt.terms == null.terms else alt.tail(crit)
-        rows.append(AsymptoticPower(power, se, False, alt.tail_bound))
+        rows.append(AsymptoticPower(power, se, False))
     return rows
 
 

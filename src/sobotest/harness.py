@@ -191,6 +191,14 @@ class PowerTable:
             if not 0.0 <= row.reject_freq <= 1.0:
                 raise ValueError(
                     f"rejection frequency out of range: {row.reject_freq}")
+            if row.n < 1 or row.ell < 1:
+                raise ValueError(f"n and ell must be >= 1, got {row.n} and {row.ell}")
+            if not (0.0 <= row.tau < math.inf and 0.0 <= row.mc_se < math.inf):
+                raise ValueError(f"tau and mc_se must be finite and >= 0, "
+                                 f"got {row.tau} and {row.mc_se}")
+            # powers may round to exactly 1, so only finiteness is checked
+            if row.asym_power is not None and not math.isfinite(row.asym_power):
+                raise ValueError(f"asymptotic power must be finite, got {row.asym_power}")
             if "," in row.test or "\n" in row.test:
                 raise ValueError(f"test label not CSV-safe: {row.test!r}")
 

@@ -56,8 +56,9 @@ del _steps
 class AngularFunction:
     """Scalar profile s |-> f(s) with f(0) = 1, applied to kappa * u'theta.
 
-    deriv0(k) returns the exact k-th derivative at 0; max_order bounds the
-    orders available (None = all); log_fn = log f (None: the log of fn)."""
+    deriv0(k) returns the exact k-th derivative at 0, an int or a float;
+    max_order bounds the orders available (None = all); log_fn = log f
+    (None: the log of fn)."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
@@ -80,7 +81,11 @@ class AngularFunction:
             raise ValueError(
                 f"angular function '{self.name}' provides derivatives only "
                 f"up to order {self.max_order}, requested {k}")
-        return float(self.deriv0(k))
+        value = self.deriv0(k)
+        try:
+            return float(value)
+        except OverflowError:  # an exact int past the largest double
+            return math.inf if value > 0 else -math.inf
 
 
 def vmf() -> AngularFunction:
@@ -89,7 +94,7 @@ def vmf() -> AngularFunction:
 
 
 def _power_deriv0(b: int):
-    return lambda k: 0.0 if k % b else float(math.factorial(k) // math.factorial(k // b))
+    return lambda k: 0 if k % b else math.factorial(k) // math.factorial(k // b)
 
 
 def power(b: int) -> AngularFunction:
@@ -112,7 +117,7 @@ def cauchy() -> AngularFunction:
     """Profile 1/(1 + 2s); requires kappa < 1/2 for positivity on [-1, 1].
     f^(k)(0) = (-2)^k k!."""
     return AngularFunction("cauchy", lambda s: 1.0 / (1.0 + 2.0 * s),
-                           lambda k: float((-2) ** k * math.factorial(k)),
+                           lambda k: (-2) ** k * math.factorial(k),
                            log_fn=lambda s: -np.log1p(2.0 * s))
 
 

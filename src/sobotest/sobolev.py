@@ -95,10 +95,6 @@ class WeightSequence:
     def from_rule(cls, rule, name: Optional[str] = None) -> "WeightSequence":
         return cls(rule=rule, name=name)
 
-    @property
-    def kind(self) -> str:
-        return "finite" if self._last is not None else "infinite"
-
     def weight(self, k: int) -> float:
         if k < 1:
             raise ValueError(f"degree must be >= 1, got {k}")

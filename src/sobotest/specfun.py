@@ -1,13 +1,9 @@
 """Gegenbauer/Chebyshev polynomials, harmonic dimensions and moment
-constants used throughout the package, plus Gauss-Jacobi quadrature for
-the weight (1 - s^2)^((p-3)/2) on (-1, 1).  The quadrature is the one
-use of scipy in the package; it imports scipy.special when first called,
-so `import sobotest` does not load scipy."""
+constants used throughout the package."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,8 +17,6 @@ __all__ = [
     "surface_constant",
     "gegenbauer_eval",
     "monomial_to_gegenbauer",
-    "gauss_jacobi_rule",
-    "QuadratureRule",
 ]
 
 # Coefficient tables and basis conversions are capped here; the evaluation
@@ -199,38 +193,3 @@ def monomial_to_gegenbauer(p: int, i: int) -> np.ndarray:
     if i > MAX_DEGREE:
         raise ValueError(f"power {i} exceeds the cap {MAX_DEGREE}")
     return np.array([float(c) for c in _monomial_to_gegenbauer_exact(p, i)])
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights integrating s |-> g(s) (1-s^2)^((p-3)/2) over
-    (-1, 1) exactly for polynomials g up to degree 2*order - 1."""
-
-    p: int
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, g) -> float:
-        values = g(self.nodes) if callable(g) else np.asarray(g, dtype=float)
-        if values.shape != self.nodes.shape:
-            raise ValueError("integrand values do not match the rule's nodes")
-        return float(self.weights @ values)
-
-
-@lru_cache(maxsize=None)
-def gauss_jacobi_rule(p: int, order: int) -> QuadratureRule:
-    """Gauss-Jacobi rule for the sphere's tangent weight, alpha = beta =
-    (p-3)/2.  p = 2 yields the Chebyshev-Gauss rule."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    from scipy.special import roots_jacobi
-
-    a = (p - 3) / 2.0
-    nodes, weights = roots_jacobi(order, a, a)
-    nodes = np.clip(nodes, -1.0, 1.0)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(p, order, nodes, weights)

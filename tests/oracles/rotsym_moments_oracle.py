@@ -1,8 +1,8 @@
 """Expectations under a rotationally symmetric law, references that only
 the tests use: E[t^m] and E[C_k(t)] of t = u'theta, the curves the
 expansion coefficients of `sobotest.asymptotics` and the sampler's
-moments are checked against.  They integrate with the package's own
-Gauss-Jacobi quadrature (`sobotest.specfun.gauss_jacobi_rule`), and the
+moments are checked against.  They integrate with the tests' own
+Gauss-Jacobi quadrature (`quadrature_oracle.gauss_jacobi_rule`), and the
 profile f(kappa s) is scaled in log space so nothing overflows.
 
 Imported by the tests as `from oracles.rotsym_moments_oracle import ...`.
@@ -11,7 +11,9 @@ Imported by the tests as `from oracles.rotsym_moments_oracle import ...`.
 import numpy as np
 
 from sobotest.rotsym import AngularFunction
-from sobotest.specfun import _gegen_index, gauss_jacobi_rule, gegenbauer_eval
+from sobotest.specfun import _gegen_index, gegenbauer_eval
+
+from oracles.quadrature_oracle import gauss_jacobi_rule
 
 __all__ = ["t_moment_oracle", "gegenbauer_expectation_oracle"]
 

@@ -38,6 +38,7 @@ from sobotest import specfun
 
 from oracles.asymptotics_oracle import neumann_inverse
 from oracles.chi2_series_oracle import noncentral_chi2_sf
+from oracles.quadrature_oracle import gauss_jacobi_rule
 from oracles.rotsym_moments_oracle import t_moment_oracle
 from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
 
@@ -336,7 +337,7 @@ def test_criterion_6_structural_identities():
 
     # weighted Gegenbauer orthogonality under the projection density (1e-9)
     for p in (2, 3, 4, 5):
-        rule = specfun.gauss_jacobi_rule(p, 64)
+        rule = gauss_jacobi_rule(p, 64)
         cp = specfun.surface_constant(p)
         lam = (p - 2) / 2.0
         for k in range(9):

@@ -359,7 +359,7 @@ def test_classification_table():
     rep = classify_threshold(RAYLEIGH, watson(), 8)
     assert rep.case == "blind"
     assert rep.k_star is None and rep.k_dagger is None
-    assert rep.blind_up_to_order == 8
+    assert rep.q == 8
     assert rep.rate_string() == "none"
 
     rep = classify_threshold(RAYLEIGH, power(3), 12)
@@ -369,6 +369,11 @@ def test_classification_table():
     rep = classify_threshold(BINGHAM, power(3), 12)
     assert (rep.case, rep.k_star, rep.k_dagger) == ("delayed", 6, 2)
     assert rep.rate_string() == "n^(-1/12)"
+
+    # derivatives past the largest double: only their being nonzero counts
+    assert classify_threshold(RAYLEIGH, watson(), 400).case == "blind"
+    rep = classify_threshold(WeightSequence.delta(185), cauchy(), 185)
+    assert (rep.case, rep.k_star, rep.k_dagger) == ("standard", 185, 185)
 
     rep = classify_threshold(THREE, power(3), 12)
     assert (rep.case, rep.k_star, rep.k_dagger) == ("standard", 3, 3)
@@ -395,14 +400,13 @@ def test_threshold_report_record():
     assert report.rate_string() == "n^(-1/12)"
     blind = classify_threshold(RAYLEIGH, watson(), 8)
     assert blind.case == "blind"
-    assert blind.blind_up_to_order == 8
+    assert blind.q == 8
     assert blind.rate_string() == "none"
 
 
 def test_limit_law_null_structure():
     law = limit_law(RAYLEIGH, 3)
     assert law.terms == ((1.0, 3, 0.0),)
-    assert law.tail_bound == 0.0
     law = limit_law(WeightSequence.finite([1.0, 0.5]), 4)
     assert law.terms == ((1.0, 4, 0.0), (0.25, harmonic_dim(4, 2), 0.0))
 
@@ -448,7 +452,6 @@ def test_limit_law_rate_mismatch_raises():
 def test_limit_law_infinite_weights():
     rule = WeightSequence.from_rule(lambda k: 2.0 ** (-k), name="geom")
     law = limit_law(rule, 3, vmf(), 1.0, 0.5)
-    assert law.tail_bound > 0.0
     assert law.terms[0][2] == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert all(nc == 0.0 for _, _, nc in law.terms[1:])
     # twelve terms whose weights span eight decades
@@ -739,17 +742,40 @@ def test_law_table_gate():
         assert abs(level - alpha) <= float(row["se"]) + float(row["root_tol"]) + se, (row, level)
 
 
-def test_import_loads_no_scipy():
-    # nor the process pool, nor xml.sax with the urllib/http/ssl tree it pulls in
+def test_import_loads_no_scipy(tmp_path):
+    # nor the process pool, nor xml.sax with the urllib/http/ssl tree it pulls in;
+    # then every subcommand runs with scipy blocked (None in sys.modules makes
+    # its import raise), the experiment at parallelism 1 and 2
     heavy = ("concurrent.futures.process", "xml.sax", "urllib.request")
-    code = ("import sys, sobotest; print(*sorted(m for m in sys.modules "
-            f"if m == 'scipy' or m.startswith('scipy.') or m in {heavy!r}))")
+    config = "[experiment]\np = 3\nf = vmf\nn_list = 40\nrate_exponents = 2\n" \
+             "tau_grid = 0, 2\nreplicates = 10\nparallelism = {}\n"
+    for workers in (1, 2):
+        (tmp_path / f"exp{workers}.ini").write_text(config.format(workers), encoding="utf-8")
+    code = f"""
+import contextlib, io, sys, sobotest
+print(*sorted(m for m in sys.modules
+              if m == 'scipy' or m.startswith('scipy.') or m in {heavy!r}))
+sys.modules['scipy'] = None
+from sobotest.cli import cli
+d = sys.argv[1]
+argvs = [['simulate', '--p', '3', '--n', '50', '--out', d + '/s.csv'],
+         ['test', d + '/s.csv', '--weights', '1,0.5'],
+         ['asymptotic', '--weights', 'bingham', '--f', 'watson', '--p', '3', '--taus', '0,2'],
+         ['classify', '--weights', '3-test', '--f', 'power'],
+         ['power-curve', d + '/exp1.ini', '--out', d + '/t1.csv'],
+         ['power-curve', d + '/exp2.ini', '--out', d + '/t2.csv'],
+         ['plot', d + '/t2.csv', '--out', d + '/t2.svg']]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli(argv) for argv in argvs]
+print(*codes)
+"""
     src = str(Path(sobotest.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join([src, path]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.strip() == ""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True, timeout=120)
+    assert out.stdout.split("\n")[:2] == ["", "0 0 0 0 0 0 0"], out.stderr
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 def test_log_normal_sf_matches_scipy():
@@ -847,14 +873,16 @@ def test_mixture_validation():
 
 
 def test_mixture_record():
-    law = MixtureLaw([(1.0, 3, 0.0), (0.25, 5, 1.5)], tail_bound=1e-7)
+    law = MixtureLaw([(1.0, 3, 0.0), (0.25, 5, 1.5)])
     assert law.terms == ((1.0, 3, 0.0), (0.25, 5, 1.5))
-    assert law.tail_bound == 1e-7
     assert not hasattr(law, "draws") and not hasattr(law, "seed")
-    # a law is its terms: the dimension enters only through their df
-    assert not hasattr(law, "p")
+    # a law is its terms: the dimension enters only through their df, and
+    # a truncated sequence's neglected mass stays with its truncation
+    assert not hasattr(law, "p") and not hasattr(law, "tail_bound")
     with pytest.raises(TypeError):
         MixtureLaw(3, [(1.0, 3, 0.0)])
+    with pytest.raises(TypeError):
+        MixtureLaw([(1.0, 3, 0.0)], tail_bound=1e-7)
 
 
 def test_asymptotic_power_reference_points():
@@ -969,6 +997,19 @@ def test_tail_far_below_the_mean_is_one():
     value, se = law.tail(x)
     assert value == 1.0 and 0.0 < se < 5.6e-17
     assert law._contour(x, law._saddle(x))(x)[0] == 1.0
+
+
+def test_contour_value_that_is_no_probability_is_a_numerical_error():
+    # a df = 300 term puts a pole of order 150 at the edge of the nodes'
+    # strip; on these laws the trapezoid sum is off by more than its `se`
+    # (Imhof gives tails 0.36919 and 0.44519 at the means 66.1 and 19.12)
+    law = MixtureLaw([(3.0, 1, 0.0), (0.062, 20, 0.0), (0.12, 300, 0.0)])
+    with pytest.raises(ArithmeticError, match="is not positive"):
+        law.quantile(0.05)
+    for terms, mean in [([(0.1, 300, 0.0), (0.1, 300, 1.0), (6.0, 1, 0.0)], 66.1),
+                        ([(0.054, 300, 0.0), (0.73, 3, 0.0), (0.73, 1, 0.0)], 19.12)]:
+        with pytest.raises(ArithmeticError, match="is not a probability within its error"):
+            MixtureLaw(terms).tail(mean)
 
 
 def test_power_curve_csv_format():

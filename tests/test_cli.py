@@ -23,10 +23,12 @@ def run(capsys, *argv):
 # --------------------------------------------------------------- classify
 
 def test_classify_blind(capsys):
-    code, out, _ = run(capsys, "classify", "--weights", "rayleigh",
-                       "--f", "watson", "--order", "8")
-    assert code == 0
-    assert out == "case=blind, q=8\n"
+    # f^(k)(0) = k!/(k/2)! is past the largest double from k = 300 on
+    for order in ("8", "400"):
+        code, out, _ = run(capsys, "classify", "--weights", "rayleigh",
+                           "--f", "watson", "--order", order)
+        assert code == 0
+        assert out == f"case=blind, q={order}\n"
 
 
 def test_classify_delayed(capsys):
@@ -155,10 +157,12 @@ def test_asymptotic_far_out_is_power_one_or_exit_3(capsys):
 
 
 def test_asymptotic_blind_is_trivial(capsys):
-    code, out, _ = run(capsys, "asymptotic", "--weights", "rayleigh",
-                       "--f", "watson", "--p", "3", "--taus", "0,1")
-    assert code == 0
-    assert all(ln.endswith(",trivial") for ln in out.splitlines()[1:])
+    for order in ("12", "400"):
+        code, out, _ = run(capsys, "asymptotic", "--weights", "rayleigh",
+                           "--f", "watson", "--p", "3", "--taus", "0,1",
+                           "--order", order)
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0.05,0,trivial", "1,0.05,0,trivial"]
 
 
 def test_multi_term_commands_draw_nothing(tmp_path, capsys, monkeypatch):
@@ -324,6 +328,18 @@ def test_plot_rejects_a_trivial_flag_that_disagrees_with_asym_power(
     assert code == 2
     assert out == ""
     assert "malformed trivial flag" in err
+
+
+def test_plot_rejects_a_non_finite_tau(tmp_path, capsys):
+    table_csv = tmp_path / "table.csv"
+    table_csv.write_text(
+        "test,n,ell,tau,reject_freq,mc_se,asym_power,trivial\n"
+        "rayleigh,500,2,nan,0.5,0.01,0.6,false\n",
+        encoding="utf-8")
+    code, out, err = run(capsys, "plot", str(table_csv), "--out", str(tmp_path / "fig.svg"))
+    assert (code, out) == (2, "")
+    assert "tau and mc_se must be finite and >= 0, got nan and 0.01" in err
+    assert not (tmp_path / "fig.svg").exists()
 
 
 @pytest.mark.parametrize("weights", ["nan", "inf", "1e200", "1e-200"])

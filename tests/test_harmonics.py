@@ -15,6 +15,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from oracles import harmonics_oracle as harmonics
+from oracles.quadrature_oracle import gauss_jacobi_rule
 from sobotest import specfun
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "basis_columns.json"
@@ -181,7 +182,7 @@ def test_monte_carlo_orthonormality():
 def test_funk_hecke_identity():
     # integral over S^2 of h(xi'eta) g_{r,k}(xi) equals lambda_k g_{r,k}(eta)
     # with lambda_k = omega_1 / C_k(1) * integral(h C_k w); h = exp
-    rule = specfun.gauss_jacobi_rule(3, 64)
+    rule = gauss_jacobi_rule(3, 64)
     n_phi = 256
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     t = np.repeat(rule.nodes, n_phi)

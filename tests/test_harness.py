@@ -251,6 +251,19 @@ def test_weight_list_rows_round_trip():
     "rayleigh,10,2,0,0.05,0.01,,maybe\n",
     "test,n,ell,tau,reject_freq,mc_se,asym_power,trivial\n"
     "rayleigh,ten,2,0,0.05,0.01,,true\n",
+] + [
+    # rows a figure cannot place: each parses, and is out of range
+    "test,n,ell,tau,reject_freq,mc_se,asym_power,trivial\n" + row for row in (
+        "rayleigh,500,2,nan,0.5,0.01,0.6,false\n",
+        "rayleigh,500,2,inf,0.5,0.01,0.6,false\n",
+        "rayleigh,500,2,-1,0.5,0.01,0.6,false\n",
+        "rayleigh,-5,2,1,0.5,0.01,0.6,false\n",
+        "rayleigh,500,0,1,0.5,0.01,0.6,false\n",
+        "rayleigh,500,2,1,0.5,-0.01,0.6,false\n",
+        "rayleigh,500,2,1,0.5,nan,0.6,false\n",
+        "rayleigh,500,2,1,0.5,0.01,nan,false\n",
+        "rayleigh,500,2,1,0.5,0.01,inf,false\n",
+    )
 ])
 def test_table_from_csv_malformed(text):
     with pytest.raises(ValueError):

@@ -64,6 +64,10 @@ def test_derivatives_at_zero():
     assert f.derivative_at_zero(6) == math.factorial(6) / math.factorial(2)
     f = rotsym.cauchy()
     assert [f.derivative_at_zero(k) for k in range(4)] == [1.0, -2.0, 8.0, -48.0]
+    # exact integers past the largest double keep their sign, and a zero stays 0
+    assert (f.derivative_at_zero(185), f.derivative_at_zero(186)) == (-math.inf, math.inf)
+    f = rotsym.watson()
+    assert (f.derivative_at_zero(400), f.derivative_at_zero(401)) == (math.inf, 0.0)
 
 
 def test_custom_profile_validation():

@@ -60,7 +60,6 @@ def _great_circle(n):
 
 def test_weight_sequence_accessors():
     w = WeightSequence.finite([0.0, 2.0, 0.0, 1.0], name="w")
-    assert w.kind == "finite"
     assert w.k_v == 2
     assert w.K_v == 4
     assert w.weight(2) == 2.0
@@ -70,6 +69,8 @@ def test_weight_sequence_accessors():
     assert d.k_v == d.K_v == 3
     assert d.name == "delta_3"
     assert d.weight(3) == 1.0 and d.weight(2) == 0.0
+    # a rule has no last degree
+    assert WeightSequence.from_rule(lambda k: 2.0 ** (-k)).K_v is None
 
 
 def test_weight_sequence_validation():
