@@ -25,7 +25,10 @@ from .rotsym import AngularFunction
 from .sobolev import WeightSequence
 from .specfun import (
     _gegen_poly_exact,
+    _kernel_factor,
+    _monomial_to_gegenbauer_exact,
     _null_moment_exact,
+    harmonic_dim,
     monomial_to_gegenbauer,
     null_moment,
     t_factor,
@@ -178,15 +181,18 @@ def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
     fks = f.derivative_at_zero(k_star)
     if fks == 0.0 or tau == 0.0:
         return 0.0
-    t2 = t_factor(p, k) ** 2
-    m_k = monomial_to_gegenbauer(p, k_star)[k]
+    m_k, drift = _monomial_to_gegenbauer_exact(p, k_star)[k], _zonal_drift_exact(p, k, k_star)
     try:
         scale = fks**2 * tau ** (2 * k_star) / math.factorial(k_star) ** 2
+        t2, m_k, drift = t_factor(p, k) ** 2, float(m_k), float(drift)
+    except OverflowError:  # a factor past the largest double: the product in exact rationals
+        scale = (Fraction(f.deriv0(k_star)) ** 2 * Fraction(tau) ** (2 * k_star)
+                 / math.factorial(k_star) ** 2)
+        t2 = _kernel_factor(p, k, Fraction(1)) ** 2 / harmonic_dim(p, k)
+    try:
+        value, alt = float(m_k**2 / t2 * scale), float(drift**2 * t2 * scale)
     except OverflowError:
-        scale = math.inf
-    value = m_k**2 / t2 * scale
-    drift = float(_zonal_drift_exact(p, k, k_star))
-    alt = drift**2 * t2 * scale
+        value = alt = math.inf
     if value == math.inf or abs(value - alt) > _DUAL_FORM_RTOL * max(abs(value), abs(alt)):
         raise ArithmeticError(f"noncentrality at tau={tau!r}, k={k}, k_star={k_star}: closed forms "
                               f"give {float(value)!r} and {float(alt)!r}, not one finite value")
@@ -287,7 +293,6 @@ class MixtureLaw:
         if not clean:
             raise ValueError("a mixture needs at least one term")
         self.terms = tuple(clean)
-        self._quantiles = {}
         weight, df, nc = (np.array(column, dtype=float) for column in zip(*clean))
         self._w, self._half_df, self._half_nc = weight, 0.5 * df, 0.5 * nc
         self._mean = float(weight @ (df + nc))
@@ -312,20 +317,12 @@ class MixtureLaw:
         total.sort()
         return total
 
-    def quantile(self, alpha: float):
-        """Upper-alpha point with its error (memoized)."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if alpha not in self._quantiles:
-            if len(self._quantiles) >= 64:
-                self._quantiles.clear()
-            self._quantiles[alpha] = self._quantile(alpha)
-        return self._quantiles[alpha]
-
     def tail(self, c: float):
         """P[mixture > c] with its error; ArithmeticError where the contour
         gives no probability within that error."""
         x = float(c)
+        if math.isnan(x):
+            raise ValueError("a tail needs a number, got nan")
         if x <= 1e-40 * float(self._w.min()):
             # P[Q <= x] <= P[min(w) chi2_1 <= x] < (x / min(w))^(1/2)
             return 1.0, math.sqrt(max(x, 0.0) / float(self._w.min()))
@@ -431,11 +428,14 @@ class MixtureLaw:
             return 1.0 + value, err + _EPS, scale * density
         return at
 
-    def _quantile(self, alpha: float):
-        """Newton's method on log P[Q > x] = log alpha over c, where x = K'(c)
-        needs no saddle solve, on the saddlepoint tail from the normal
-        approximation; then on the contour from that root, over x on its nodes
-        while x keeps to K'(c)'s side of the mean and within K''(c)^(1/2)."""
+    def quantile(self, alpha: float):
+        """Upper-alpha point with its error.  Newton's method on
+        log P[Q > x] = log alpha over c, where x = K'(c) needs no saddle solve,
+        on the saddlepoint tail from the normal approximation; then on the
+        contour from that root, over x on its nodes while x keeps to K'(c)'s
+        side of the mean and within K''(c)^(1/2)."""
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         c = min(-NormalDist().inv_cdf(alpha) / math.sqrt(self._cumulants(0.0)[2]), 0.5 * self._cut)
         for _ in range(_MAX_STEPS):
             k0, k1, k2, _ = self._cumulants(c)

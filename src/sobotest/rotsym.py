@@ -314,26 +314,13 @@ def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> Spheric
 def _normalized_gaussians(gen, n: int, p: int) -> np.ndarray:
     """n normalized Gaussians in R^p: uniform directions (tiny rows redrawn)."""
     z = gen.standard_normal((n, p))
-    norms = _row_norms(z)
+    norms = np.linalg.norm(z, axis=1)
     while np.any(norms < 1e-12):
         bad = norms < 1e-12
         z[bad] = gen.standard_normal((int(bad.sum()), p))
-        norms = _row_norms(z)
+        norms = np.linalg.norm(z, axis=1)
     z /= norms[:, None]
     return z
-
-
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(z, axis=1) bit for bit.  Below 8 columns numpy's
-    reduce sums a row left to right, ((z0^2 + z1^2) + z2^2) + ..., which
-    column sums repeat at a fifth of the cost; from 8 on it sums pairwise."""
-    p = z.shape[1]
-    if p >= 8:
-        return np.linalg.norm(z, axis=1)
-    sq = z[:, 0] * z[:, 0]
-    for j in range(1, p):
-        sq += z[:, j] * z[:, j]
-    return np.sqrt(sq, out=sq)
 
 
 def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> SphericalSample:

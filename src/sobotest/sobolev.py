@@ -106,9 +106,9 @@ class WeightSequence:
 
     @property
     def k_v(self) -> int:
-        """Smallest degree with nonzero weight, searched through degree
-        _TRUNC_K_MAX."""
-        for k in range(1, _TRUNC_K_MAX + 1):
+        """Smallest degree with nonzero weight, searched through the last
+        entry of a vector, or through degree _TRUNC_K_MAX for a rule."""
+        for k in range(1, (self._last or _TRUNC_K_MAX) + 1):
             if self.weight(k) != 0.0:
                 return k
         raise ValueError("no nonzero weight found")

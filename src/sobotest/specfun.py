@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "MAX_DEGREE",
     "harmonic_dim",
     "t_factor",
     "null_moment",
@@ -19,11 +17,10 @@ __all__ = [
     "monomial_to_gegenbauer",
 ]
 
-# Coefficient tables and basis conversions are capped here; the evaluation
-# recurrences themselves are stable and carry no cap.
-MAX_DEGREE = 30
-
 _EVAL_SLACK = 1e-12
+# exact tables, grown a row at a time: C_k^lam by lam, m_{k,i} by p
+_GEGEN_ROWS: dict = {}
+_MONOMIAL_ROWS: dict = {}
 
 
 def harmonic_dim(p: int, k: int) -> int:
@@ -145,38 +142,42 @@ def _gegen_sweep(lam: float, top: int, t: np.ndarray):
         yield cur
 
 
-@lru_cache(maxsize=None)
 def _gegen_poly_exact(lam: Fraction, k: int) -> tuple:
     """C_k^lam as a dense vector of exact monomial coefficients, index =
-    power of t, by the recurrence of _gegen_sweep."""
-    if k < 2:
-        return (Fraction(1),) if k == 0 else (Fraction(0), Fraction(1) if lam == 0 else 2 * lam)
-    prev = _gegen_poly_exact(lam, k - 2) + (Fraction(0),) * 2
-    cur = (Fraction(0),) + _gegen_poly_exact(lam, k - 1)
-    if lam == 0:
-        return tuple(2 * a - b for a, b in zip(cur, prev))
-    return tuple((2 * (k - 1 + lam) * a - (k - 2 + 2 * lam) * b) / k
-                 for a, b in zip(cur, prev))
+    power of t, by the recurrence of _gegen_sweep.  The rows below k are
+    built first, in a loop, and kept."""
+    rows = _GEGEN_ROWS.setdefault(lam, [(Fraction(1),),
+                                        (Fraction(0), Fraction(1) if lam == 0 else 2 * lam)])
+    for j in range(len(rows), k + 1):
+        prev = rows[j - 2] + (Fraction(0),) * 2
+        cur = (Fraction(0),) + rows[j - 1]
+        if lam == 0:
+            rows.append(tuple(2 * a - b for a, b in zip(cur, prev)))
+        else:
+            rows.append(tuple((2 * (j - 1 + lam) * a - (j - 2 + 2 * lam) * b) / j
+                              for a, b in zip(cur, prev)))
+    return rows[k]
 
 
-@lru_cache(maxsize=None)
 def _monomial_to_gegenbauer_exact(p: int, i: int) -> tuple:
     """m_{k,i} as exact rationals: t times the expansion of t^(i-1), with
     t C_k = up C_{k+1} + down C_{k-1}, the recurrence of _gegen_sweep
-    solved for t C_k (C_{-1} = 0)."""
-    if i == 0:
-        return (Fraction(1),)
+    solved for t C_k (C_{-1} = 0).  The rows below i are built first, in a
+    loop, and kept."""
     lam = Fraction(p - 2, 2)
-    m = [Fraction(0)] * (i + 1)
-    for k, c in enumerate(_monomial_to_gegenbauer_exact(p, i - 1)):
-        if lam == 0:
-            up = down = Fraction(1, 2) if k else Fraction(1)
-        else:
-            up, down = (k + 1) / (2 * (k + lam)), (k - 1 + 2 * lam) / (2 * (k + lam))
-        m[k + 1] += c * up
-        if k:
-            m[k - 1] += c * down
-    return tuple(m)
+    rows = _MONOMIAL_ROWS.setdefault(p, [(Fraction(1),)])
+    for power in range(len(rows), i + 1):
+        m = [Fraction(0)] * (power + 1)
+        for k, c in enumerate(rows[-1]):
+            if lam == 0:
+                up = down = Fraction(1, 2) if k else Fraction(1)
+            else:
+                up, down = (k + 1) / (2 * (k + lam)), (k - 1 + 2 * lam) / (2 * (k + lam))
+            m[k + 1] += c * up
+            if k:
+                m[k - 1] += c * down
+        rows.append(tuple(m))
+    return rows[i]
 
 
 def monomial_to_gegenbauer(p: int, i: int) -> np.ndarray:
@@ -190,6 +191,4 @@ def monomial_to_gegenbauer(p: int, i: int) -> np.ndarray:
         raise ValueError(f"p must be >= 2, got {p}")
     if i < 0:
         raise ValueError(f"power must be >= 0, got {i}")
-    if i > MAX_DEGREE:
-        raise ValueError(f"power {i} exceeds the cap {MAX_DEGREE}")
     return np.array([float(c) for c in _monomial_to_gegenbauer_exact(p, i)])

@@ -20,10 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from sobotest.specfun import MAX_DEGREE, _clamp_argument
+from sobotest.specfun import _clamp_argument
 
 __all__ = ["GegenCoeffTable", "gegenbauer_coeffs", "gegen_poly_closed_form",
            "monomial_expansion_closed_form"]
+
+# degree cap of the float tables of gegenbauer_coeffs, evaluated as
+# alternating monomial sums; the exact closed forms carry none
+MAX_DEGREE = 30
 
 
 def _pochhammer(a: Fraction, n: int) -> Fraction:

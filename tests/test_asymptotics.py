@@ -319,6 +319,25 @@ def test_noncentrality_overflow_names_tau_and_degrees():
             noncentrality_delayed(3, k, k_star, tau, f)
 
 
+@pytest.mark.parametrize("p", [2, 3, 10])
+def test_noncentrality_past_degree_30(p):
+    # vMF: d_{p,k} tau^(2k) / prod_{l<k} (p+2l)^2, rounded once from exact
+    # rationals; at k = 100, 100!^2 and 50^200 are past the largest double
+    # while the noncentrality is not
+    for k, tau in ((31, 1.7), (100, 50.0)):
+        want = float(harmonic_dim(p, k) * Fraction(tau) ** (2 * k)
+                     / math.prod(p + 2 * l for l in range(k)) ** 2)
+        assert noncentrality_standard(p, k, tau, vmf()) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k_star", [31, 100])
+def test_power_curve_past_degree_30(k_star):
+    rows = power_curve(WeightSequence.delta(k_star), 3, vmf(), [0.0, 1.0, 50.0], 0.05,
+                       q=k_star)
+    assert rows[0].power == 0.05
+    assert all(0.0 <= row.power <= 1.0 and not row.trivial for row in rows)
+
+
 def test_dual_form_check_runs_on_every_call(monkeypatch):
     # the exact drift is memoized per (p, k, k_star); the check against the
     # m_{k,k_star} form still runs on each call, with the cached value
@@ -870,6 +889,10 @@ def test_mixture_validation():
     law = MixtureLaw([(1.0, 3, 0.0)])
     with pytest.raises(ValueError):
         law.quantile(0.0)
+    # nan is a data error at entry, not a saddlepoint search that fails
+    with pytest.raises(ValueError, match="a tail needs a number, got nan"):
+        law.tail(math.nan)
+    assert law.tail(math.inf) == (0.0, 0.0)
 
 
 def test_mixture_record():

@@ -396,6 +396,27 @@ def test_non_finite_kappa_and_tau_exit_2(tmp_path, capsys, value):
     assert (code, out, err) == (2, "", f"error: tau must be finite and >= 0, got {value}\n")
 
 
+DEGREE_31 = ",".join(["0"] * 30 + ["1"])
+DEGREE_601 = ",".join(["0"] * 600 + ["1"])
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("asymptotic", "--weights", DEGREE_31, "--f", "vmf", "--p", "3", "--order", "40"), 0),
+    (("classify", "--weights", DEGREE_601, "--f", "vmf", "--order", "700"), 0),
+    (("test", "{sample}", "--weights", "rayleigh"), 0),
+    # tau^2 / p is past the largest double
+    (("asymptotic", "--weights", "rayleigh", "--f", "vmf", "--p", "3", "--taus", "1e200"), 3),
+], ids=["asymptotic-degree-31", "classify-degree-601", "test", "asymptotic-overflow"])
+def test_exit_code_contract(tmp_path, capsys, argv, want):
+    # 0 success, 1 usage, 2 data, 3 numerical; never a traceback
+    sample = tmp_path / "s.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "50", "--out", str(sample))
+    code, out, err = run(capsys, *(arg.format(sample=sample) for arg in argv))
+    assert code == want, err
+    assert "Traceback" not in err
+    assert bool(out) == (want == 0) and bool(err) == (want != 0)
+
+
 def test_numerical_errors_exit_3(tmp_path, capsys, monkeypatch):
     sample = tmp_path / "s.csv"
     run(capsys, "simulate", "--p", "3", "--n", "10", "--out", str(sample))

@@ -71,6 +71,10 @@ def test_weight_sequence_accessors():
     assert d.weight(3) == 1.0 and d.weight(2) == 0.0
     # a rule has no last degree
     assert WeightSequence.from_rule(lambda k: 2.0 ** (-k)).K_v is None
+    # a vector finds its first degree however deep; a rule looks through 600
+    assert WeightSequence.delta(601).k_v == 601
+    with pytest.raises(ValueError, match="no nonzero weight found"):
+        WeightSequence.from_rule(lambda k: float(k == 601)).k_v
 
 
 def test_weight_sequence_validation():

@@ -12,7 +12,7 @@ import pytest
 
 from sobotest import specfun
 
-from oracles.gegen_coeffs_oracle import (gegen_poly_closed_form, gegenbauer_coeffs,
+from oracles.gegen_coeffs_oracle import (MAX_DEGREE, gegen_poly_closed_form, gegenbauer_coeffs,
                                          monomial_expansion_closed_form)
 from oracles.quadrature_oracle import gauss_jacobi_rule
 
@@ -186,10 +186,11 @@ def test_exact_tables_match_closed_forms_and_invert():
     # t^i = sum_k m_{k,i} C_k holds as an identity of exact polynomials
     for p in range(2, 32):
         lam = Fraction(p - 2, 2)
-        polys = [specfun._gegen_poly_exact(lam, k) for k in range(specfun.MAX_DEGREE + 1)]
+        top = 40 if p in (2, 3, 10) else 30
+        polys = [specfun._gegen_poly_exact(lam, k) for k in range(top + 1)]
         for k, poly in enumerate(polys):
             assert poly == gegen_poly_closed_form(lam, k), (p, k)
-        for i in range(specfun.MAX_DEGREE + 1):
+        for i in range(top + 1):
             m = specfun._monomial_to_gegenbauer_exact(p, i)
             assert m == monomial_expansion_closed_form(p, i), (p, i)
             recon = [sum(m[k] * polys[k][power] for k in range(power, i + 1))
@@ -197,11 +198,24 @@ def test_exact_tables_match_closed_forms_and_invert():
             assert recon == [0] * i + [1], (p, i)
 
 
+def test_exact_tables_build_deep_degrees_in_a_loop():
+    # a table built by one call per degree of recursion stops near degree
+    # 1000 / (frames per degree); the loops reach any degree
+    m = specfun._monomial_to_gegenbauer_exact(2, 600)
+    assert len(m) == 601 and m[600] == Fraction(1, 2**599)
+    assert sum(m) == 1  # t = 1, where every Chebyshev polynomial is 1
+    assert all(c == 0 for c in m[1::2])
+    poly = specfun._gegen_poly_exact(Fraction(0), 1100)
+    assert poly[1100] == 2**1099 and sum(poly) == 1
+    assert specfun.monomial_to_gegenbauer(3, 45)[45] == float(
+        specfun._monomial_to_gegenbauer_exact(3, 45)[45])
+
+
 def test_monomial_degree_cap():
+    # only the oracle's float tables are capped; the package's exact
+    # tables are not (test_exact_tables_build_deep_degrees_in_a_loop)
     with pytest.raises(ValueError):
-        specfun.monomial_to_gegenbauer(3, specfun.MAX_DEGREE + 1)
-    with pytest.raises(ValueError):
-        gegenbauer_coeffs(0.5, specfun.MAX_DEGREE + 1)
+        gegenbauer_coeffs(0.5, MAX_DEGREE + 1)
 
 
 def test_quadrature_total_mass():
