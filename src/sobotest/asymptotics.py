@@ -183,14 +183,17 @@ def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
         return 0.0
     m_k, drift = _monomial_to_gegenbauer_exact(p, k_star)[k], _zonal_drift_exact(p, k, k_star)
     try:
-        scale = fks**2 * tau ** (2 * k_star) / math.factorial(k_star) ** 2
-        t2, m_k, drift = t_factor(p, k) ** 2, float(m_k), float(drift)
-    except OverflowError:  # a factor past the largest double: the product in exact rationals
+        scale, t2 = fks**2 * tau ** (2 * k_star) / math.factorial(k_star) ** 2, t_factor(p, k) ** 2
+        forms = float(m_k) ** 2 / t2 * scale, float(drift) ** 2 * t2 * scale
+    except OverflowError:
+        forms = (math.inf,)
+    if not math.isfinite(sum(forms)):  # past the largest double: the product in exact rationals
         scale = (Fraction(f.deriv0(k_star)) ** 2 * Fraction(tau) ** (2 * k_star)
                  / math.factorial(k_star) ** 2)
         t2 = _kernel_factor(p, k, Fraction(1)) ** 2 / harmonic_dim(p, k)
+        forms = m_k**2 / t2 * scale, drift**2 * t2 * scale
     try:
-        value, alt = float(m_k**2 / t2 * scale), float(drift**2 * t2 * scale)
+        value, alt = map(float, forms)
     except OverflowError:
         value = alt = math.inf
     if value == math.inf or abs(value - alt) > _DUAL_FORM_RTOL * max(abs(value), abs(alt)):
@@ -385,8 +388,8 @@ class MixtureLaw:
         r = 1.0 / (1.0 - 2.0 * c * self._w)
         two_wr, nc_r = 2.0 * self._w * r, self._half_nc * r
         size = math.ceil(_SPAN / h)
+        blocks = []  # the nodes of block j, built on first use
 
-        @lru_cache(maxsize=None)  # the nodes of block j
         def block(j):
             # nodes (j + 1/2) h; each mirror image -(j + 1/2) h adds minus the conjugate
             u = h * (np.arange(j * size, (j + 1) * size) + 0.5)
@@ -394,18 +397,23 @@ class MixtureLaw:
             q = delta[:, None] * two_wr
             z = 1.0 - q
             # numpy's complex log is several times slower than its parts
-            log_z = np.log(np.abs(z)) + 1j * np.angle(z)
+            fixed = -(np.log(np.abs(z)) + 1j * np.arctan2(z.imag, z.real) + q) @ self._half_df
             # per term, with s = c + delta and q = 2 w delta / (1 - 2 w c), the
             # exponent K(s) - s x - (K(c) - c x) less its part linear in delta;
             # those parts sum to delta (K'(c) - x); then ds/du and s
-            return (delta, -(log_z + q) @ self._half_df + (q * q / z) @ nc_r,
-                    sigma * (1j + 2.0 * a * u), c + delta)
+            if self._half_nc.any():
+                fixed += (q * q / z) @ nc_r
+            return delta, fixed, sigma * (1j + 2.0 * a * u), c + delta
 
         def at(x: float):
             total = density = absum = 0.0
             for j in range(_MAX_STEPS):
-                delta, fixed, ds, s = block(j)
-                e = np.exp(fixed + delta * (k1 - x)) * ds
+                if j == len(blocks):
+                    blocks.append(block(j))
+                delta, fixed, ds, s = blocks[j]
+                e = delta * (k1 - x)
+                e += fixed
+                e = np.multiply(np.exp(e, out=e), ds, out=e)
                 g = (e / s).imag
                 size_g = np.abs(g)
                 total += float(g.sum())

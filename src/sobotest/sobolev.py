@@ -5,9 +5,9 @@ form of the statistic, plus the classical special cases.
 The harmonic form takes each active degree k by one of two routes, fixed
 by k alone.  Degrees 1-4 come from moment power sums
 S_m = sum_ij (u_i'u_j)^m = ||sum_i u_i^(x)m||^2, m <= k, built by a few
-matrix products over the (n, p) sample with no harmonic basis; degrees
-5 and up sum the columns of the d_{p,k}-column orthonormal basis over
-row slices of the sample, so memory does not grow with n."""
+matrix products over the (n, p) sample with no harmonic basis, S_3 from
+its tensor's distinct entries; degrees 5 and up sum the columns of the
+d_{p,k}-column orthonormal basis over row slices, so memory does not grow with n."""
 
 from __future__ import annotations
 
@@ -198,6 +198,14 @@ def _kernel_monomials(p: int, k: int) -> tuple:
     return tuple(float(factor * c) for c in _gegen_poly_exact(Fraction(p - 2, 2), k))
 
 
+@lru_cache(maxsize=None)
+def _third_weights(p: int) -> np.ndarray:
+    """Weights of the T_cab of _centered_power_sums, rows c, columns a <= b as in W: the
+    orderings of (c, a, b) halved where a < b for W's sqrt(2), so 3 for c < a; 0 for c > a."""
+    c, (a, b) = np.arange(p)[:, None], np.triu_indices(p)
+    return np.where(c < a, 3.0, np.where(c == a, np.where(a == b, 1.0, 1.5), 0.0))
+
+
 def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
     """P_m = S_m - n^2 E_0[s^m] for each m in orders (1 <= m <= 4), where
     E_0[s^m] is the m-th moment of u'v for independent uniform u, v.
@@ -207,14 +215,17 @@ def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
     squared norm of a moment tensor with its null mean taken out, so its
     entries are O(sqrt(n)) sums and nothing of order n^2 cancels:
       P_1 = ||X'1||^2,  P_2 = ||X'X - (n/p) I||_F^2,
-      P_3 = ||sum_i u_i^(x)3||^2 = ||X'W||_F^2,
+      P_3 = ||sum_i u_i^(x)3||^2 = sum_abc T_abc^2,
       P_4 = ||W_c'W_c - n Sigma||_F^2 + (2/p) P_2.
     W has the columns x_a x_b, a <= b, off-diagonal ones scaled by
     sqrt(2), so w_i'w_j = (u_i'u_j)^2; W_c is W with 1/p taken from its
     diagonal columns, the coordinates of u_i u_i' - I/p; and n Sigma, with
     Sigma = 2/(p(p+2)) (I - e e'/p) for the indicator e of the diagonal
-    columns, is the null mean of W_c'W_c.  Both products accumulate over
-    row blocks, so memory is O(p^4 + block), never O(n p^2)."""
+    columns, is the null mean of W_c'W_c.  P_3 weights the square of each
+    distinct T_cab = sum_i x_ic x_ia x_ib, c <= a <= b, by its orderings:
+    p(p+1)(p+2) n / 6 + about p^2 n / 4 multiply-adds, two a per product
+    (one product where p^2 n < 80000), where ||X'W||_F^2 took p^2(p+1) n / 2.
+    Both accumulate over row blocks: memory O(p^4 + block), never O(n p^2)."""
     n, p = X.shape
     sums = {}
     if 1 in orders:
@@ -226,31 +237,38 @@ def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
         sums[2] = float(np.sum(scatter * scatter))
     if orders & {3, 4}:
         width = p * (p + 1) // 2
-        # row j of feat holds x_a x_b over the block's points for the j-th
-        # pair a <= b, times sqrt(2) when a < b; diag[a] is the row of (a, a)
-        diag = np.cumsum([0] + [p - a for a in range(p - 1)])
+        # row diag[a] + b - a of W' holds x_a x_b over the block's points for
+        # the pair a <= b, times sqrt(2) when a < b; diag[p] = width
+        diag = [a * p - a * (a - 1) // 2 for a in range(p + 1)]
         third = np.zeros((p, width)) if 3 in orders else None
         fourth = np.zeros((width, width)) if 4 in orders else None
         block = max(1, _FEATURE_BLOCK // width)
+        # two a per product where a call costs less than the entries c > a it skips
+        step = 2 if p * p * min(n, block) >= 80_000 else p
+        chunks = [(a0, min(a0 + step, p)) for a0 in range(0, p, step)]
         XT = np.ascontiguousarray(X.T)
-        feat = np.empty((width, min(n, block)))
+        # degree 4 keeps all of W' for W_c'W_c; degree 3 alone reuses one chunk's rows
+        feat = np.empty((width if fourth is not None else diag[step], min(n, block)))
         for i0 in range(0, n, block):
             xb = XT[:, i0:i0 + block]
             fb = feat[:, :xb.shape[1]]
-            for a, j in enumerate(diag):
-                np.multiply(xb[a], xb[a], out=fb[j])
-                np.multiply(math.sqrt(2.0) * xb[a], xb[a + 1:], out=fb[j + 1:j + p - a])
-            if third is not None:
-                third += xb @ fb.T
+            for a0, a1 in chunks:
+                fc = fb[diag[a0]:diag[a1]] if fourth is not None else fb[:diag[a1] - diag[a0]]
+                for a in range(a0, a1):
+                    j = diag[a] - diag[a0]
+                    np.multiply(xb[a], xb[a], out=fc[j])
+                    np.multiply(math.sqrt(2.0) * xb[a], xb[a + 1:], out=fc[j + 1:j + p - a])
+                if third is not None:
+                    third[:a1, diag[a0]:diag[a1]] += xb[:a1] @ fc.T
             if fourth is not None:
-                fb[diag] -= 1.0 / p
+                fb[diag[:p]] -= 1.0 / p
                 fourth += fb @ fb.T
         if third is not None:
-            sums[3] = float(np.sum(third * third))
+            sums[3] = float(np.sum(_third_weights(p) * third * third))
         if fourth is not None:
             shift = 2.0 * n / (p * (p + 2))
             fourth[np.diag_indices(width)] -= shift
-            fourth[np.ix_(diag, diag)] += shift / p
+            fourth[np.ix_(diag[:p], diag[:p])] += shift / p
             sums[4] = float(np.sum(fourth * fourth)) + 2.0 / p * sums[2]
     return sums
 
@@ -265,30 +283,20 @@ def stat_harmonics(sample: SphericalSample, weight_list) -> list:
     basis_matrix(p, k, X[i:i + rows]) once over row slices of at most
     4 _FEATURE_BLOCK entries.  Each P_m and each column sum comes out
     the same whatever else is requested, so every statistic has the bits
-    it has alone."""
-    X = sample.points
-    n = sample.n
-    p = sample.p
+    it has alone, and the same on points in any memory layout."""
+    X = np.ascontiguousarray(sample.points)
+    n, p = X.shape
     degree_lists = [weights.active_degrees(p) for weights in weight_list]
-    sums = _centered_power_sums(X, {m for degrees in degree_lists for k in degrees
-                                    if k <= _POWER_SUM_MAX_DEGREE for m in range(k, 0, -2)})
-    column_sums = {}
-    for k in {k for degrees in degree_lists for k in degrees if k > _POWER_SUM_MAX_DEGREE}:
+    wanted = {k for degrees in degree_lists for k in degrees}
+    low = {k for k in wanted if k <= _POWER_SUM_MAX_DEGREE}
+    sums = _centered_power_sums(X, {m for k in low for m in range(k, 0, -2)})
+    values = {k: sum(_kernel_monomials(p, k)[m] * sums[m] for m in range(k, 0, -2)) for k in low}
+    for k in wanted - low:
         rows = max(1, 4 * _FEATURE_BLOCK // harmonic_dim(p, k))
         col = sum(basis_matrix(p, k, X[i:i + rows]).sum(axis=0) for i in range(0, n, rows))
-        column_sums[k] = float(col @ col)
-    stats = []
-    for weights, degrees in zip(weight_list, degree_lists):
-        total = 0.0
-        for k in degrees:
-            if k <= _POWER_SUM_MAX_DEGREE:
-                coeffs = _kernel_monomials(p, k)
-                value = sum(coeffs[m] * sums[m] for m in range(k, 0, -2))
-            else:
-                value = column_sums[k]
-            total += weights.weight(k) ** 2 * value / n
-        stats.append(total)
-    return stats
+        values[k] = float(col @ col)
+    return [sum((weights.weight(k) ** 2 * values[k] / n for k in degrees), 0.0)
+            for weights, degrees in zip(weight_list, degree_lists)]
 
 
 def stat_harmonic(sample: SphericalSample, weights: WeightSequence) -> float:
@@ -299,8 +307,8 @@ def stat_harmonic(sample: SphericalSample, weights: WeightSequence) -> float:
     from the centered power sums of _centered_power_sums; no basis is
     built.  A degree k >= 5 sums the columns of basis_matrix(p, k, X)
     over row slices.  The two routes agree with stat_kernel and with each
-    other within a relative 1e-11; measured at most 1.2e-13 for n <= 5000,
-    p <= 30."""
+    other within a relative 1e-11 on the tests' samples, n <= 5000, p <= 50
+    (the README's numerical notes say where degree 3 loses more)."""
     return stat_harmonics(sample, [weights])[0]
 
 

@@ -310,13 +310,19 @@ def test_noncentrality_delayed_validation():
 
 
 def test_noncentrality_overflow_names_tau_and_degrees():
-    # tau^(2 k_star) past the largest double, and a product that rounds to inf
-    for k, k_star, tau, f in ((1, 1, 1e200, vmf()), (1, 3, 2e51, power(3)),
-                              (3, 3, 2e51, power(3))):
-        with pytest.raises(ArithmeticError, match=re.escape(
-                f"noncentrality at tau={tau!r}, k={k}, k_star={k_star}: closed forms "
-                "give inf and inf, not one finite value")):
-            noncentrality_delayed(3, k, k_star, tau, f)
+    # tau^(2 k_star) past the largest double, and so is the noncentrality tau^2 / 3
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "noncentrality at tau=1e+200, k=1, k_star=1: closed forms "
+            "give inf and inf, not one finite value")):
+        noncentrality_delayed(3, 1, 1, 1e200, vmf())
+    # exp(s^3) at p = 3: f^(3)(0) = 6, t^3 = (3/5) P_1 + (2/5) P_3 and
+    # t_{3,k}^2 = 2k + 1 give 3 tau^6 / 25 (k = 1) and 4 tau^6 / 175 (k = 3);
+    # the float product f^(3)(0)^2 tau^6 rounds to inf at tau = 2e51, the
+    # noncentrality does not
+    for k, coeff in ((1, Fraction(3, 25)), (3, Fraction(4, 175))):
+        for tau in (1.3, 2e51):
+            want = float(coeff * Fraction(tau) ** 6)
+            assert noncentrality_delayed(3, k, 3, tau, power(3)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2, 3, 10])

@@ -406,7 +406,11 @@ DEGREE_601 = ",".join(["0"] * 600 + ["1"])
     (("test", "{sample}", "--weights", "rayleigh"), 0),
     # tau^2 / p is past the largest double
     (("asymptotic", "--weights", "rayleigh", "--f", "vmf", "--p", "3", "--taus", "1e200"), 3),
-], ids=["asymptotic-degree-31", "classify-degree-601", "test", "asymptotic-overflow"])
+    # f^(3)(0)^2 tau^6 is past it, the noncentrality 3 tau^6 / 25 = 7.7e306 is not
+    (("asymptotic", "--weights", "rayleigh", "--f", "power", "--b", "3", "--p", "3",
+      "--taus", "2e51", "--order", "4"), 0),
+], ids=["asymptotic-degree-31", "classify-degree-601", "test", "asymptotic-overflow",
+        "asymptotic-past-float-product"])
 def test_exit_code_contract(tmp_path, capsys, argv, want):
     # 0 success, 1 usage, 2 data, 3 numerical; never a traceback
     sample = tmp_path / "s.csv"

@@ -10,11 +10,15 @@ like the CSVs it changes only with a bump of that version (protocol in
 tests/test_stream_golden.py): a change that moves a point by one ulp
 moves its digest, even when no decision moves.  It is written by
 
-    PYTHONPATH=src python3 tests/test_sampler_bits.py
+    PYTHONPATH=src python3 tests/test_sampler_bits.py --write
+
+which prints every field it moves as `label.field: old -> new`, the list
+that CHANGES.md takes.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,9 +65,22 @@ def test_sampler_and_statistic_bits(p, name, kappa):
         key: value for key, value in golden.items() if key.startswith(f"p{p}_{name}_{kappa!r}_")}
 
 
-if __name__ == "__main__":
+def _write() -> None:
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
     table = {}
     for cfg in CONFIGS:
         table.update(_digests(*cfg))
     GOLDEN.write_text(json.dumps({"stream_version": STREAM_VERSION, "digests": table},
                                  indent=1, sort_keys=True) + "\n")
+    for label in sorted(old | table):
+        before, after = old.get(label, {}), table.get(label, {})
+        for field in sorted(before | after):
+            if before.get(field) != after.get(field):
+                print(f"{label}.{field}: {before.get(field)} -> {after.get(field)}")
+    print(f"wrote {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_sampler_bits.py --write")
+    _write()

@@ -21,6 +21,7 @@ from sobotest.sobolev import (
 )
 from sobotest.specfun import _gegen_poly_exact, gegenbauer_eval, harmonic_dim
 
+from oracles.poisson_kernel_oracle import poisson_rule, poisson_stat
 from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
 
 
@@ -182,6 +183,21 @@ def test_statistics_of_a_list_keep_each_ones_bits(p):
     assert len(stats_) == len(weight_list)
     for w, value in zip(weight_list, stats_):
         assert float.hex(value) == float.hex(stat_harmonic(sample, w))
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.6])
+@pytest.mark.parametrize("p", [2, 3, 10, 20])
+def test_truncated_poisson_rule_matches_its_closed_form(p, rho):
+    # the rule v_k = rho^(k/2) truncated after k_trunc (12 to 84 here)
+    # misses at most n tail_mass of the untruncated closed form, since
+    # |h_{p,k}| <= d_{p,k}; observed: 0.13-0.29 % of that bound
+    sample = sample_rotsym(RotSymConfig(p=p, kappa=0.5, f=vmf(), seed=3), 400)
+    weights = poisson_rule(rho)
+    want = poisson_stat(sample, rho)
+    bound = sample.n * weights.truncation(p).tail_mass
+    assert abs(stat_kernel(sample, weights) - want) <= bound
+    if p <= 3:
+        assert abs(stat_harmonic(sample, weights) - want) <= bound
 
 
 def test_blocked_gram_matches_direct():
@@ -396,6 +412,38 @@ def test_high_p_degree_three_without_basis(monkeypatch):
     w = WeightSequence.delta(3)
     assert stat_harmonic(sample, w) == pytest.approx(
         stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10, 20, 30, 50])
+def test_degree_three_distinct_entries_match_kernel(p, monkeypatch):
+    """Degree 3 forms each distinct third-moment entry once, in one product
+    or in chunks of two coordinates; against stat_kernel within
+    _ROUTE_REL_BOUND on uniform samples.  At p = 50 a row block holds 822
+    points, so n = 2000 spans three blocks, the last one short."""
+    monkeypatch.setattr(sobolev, "basis_matrix", _no_basis)
+    w = WeightSequence.delta(3)
+    for n in (1, 2, 7, 2000):
+        sample = sample_uniform(p, n, seed=37)
+        assert stat_harmonic(sample, w) == pytest.approx(
+            stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+    assert 2000 // (sobolev._FEATURE_BLOCK // (50 * 51 // 2)) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 20])
+def test_power_sums_ignore_the_memory_layout(p):
+    # C-ordered points, a Fortran-ordered copy and a column slice of a
+    # wider array give the same floats, alone and in lists
+    points = sample_rotsym(RotSymConfig(p=p, kappa=0.7, f=vmf(), seed=38), 900).points
+    wide = np.zeros((900, p + 3))
+    wide[:, 1:p + 1] = points
+    weight_list = [WeightSequence.delta(k) for k in range(1, 5)] + [
+        WeightSequence.finite([1.0, 0.5, 0.25]), WeightSequence.finite([0.0, 1.0, 0.0, 0.5]),
+        WeightSequence.finite([1.0, 1.0, 1.0, 1.0])]
+    want = [float.hex(v) for v in stat_harmonics(SphericalSample(points), weight_list)]
+    for X in (np.asfortranarray(points), wide[:, 1:p + 1]):
+        got = stat_harmonics(SphericalSample(X), weight_list)
+        assert [float.hex(v) for v in got] == want
+        assert [float.hex(stat_harmonic(SphericalSample(X), w)) for w in weight_list] == want
 
 
 def test_norm_tolerance_is_the_same_on_every_route():

@@ -12,6 +12,9 @@ sampler's cos/sin by angle addition; points move by a few ulp, no golden
 row moved.  Version 5: one sampler path for every kappa, kappa = 0
 through the inverse-CDF table too, and p - 1 tangent normals per point
 at p >= 4; every tau = 0 row and every p = 20 row was redrawn.
+Version 6: the degree-3 power sum from the distinct entries of the
+third-moment tensor; degree-3 statistics move by rounding, no golden
+row moved, only `stat_3` digests of sampler_bits.json.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -41,7 +44,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 5
+FIXTURE_STREAM_VERSION = 6
 
 _README_GRID = dict(
     p=3,
