@@ -85,7 +85,7 @@ def basis_matrix(p: int, k: int, X) -> np.ndarray:
     Rows must have unit norm within 1e-8, the tolerance of SphericalSample."""
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != p or p < 2:
         raise ValueError("X must be an (n, p) array with p >= 2")
     _check_unit_norms(X)

@@ -13,8 +13,11 @@ phi once for every kappa >= 0 (the uniform law at kappa = 0 has density
 mass; a replicate inverts n uniforms through a guide table with no
 rejection loop.  No sin or cos is taken per point: cos phi and sin phi
 come by angle addition from the cos and sin of each cell's left edge,
-stored with the table, and the uniform angle w of the tangent direction
-at p = 3 the same way from a 1024-step circle."""
+stored with the table (cells at most pi/128 wide), and the uniform angle
+w of the tangent direction at p = 3 the same way from a 4096-step
+circle.  A sample is stored as coordinate rows: `points` is the (n, p)
+view of a C-contiguous (p, n) array, which the sampler writes one
+coordinate row at a time."""
 
 from __future__ import annotations
 
@@ -38,13 +41,18 @@ _TABLE_TOL, _TABLE_MAX_CELLS, _TABLE_MAX_LEVELS = 1e-8, 1 << 16, 120
 _NODES = np.linspace(0.0, 1.0, 5)
 _PARTIALS = np.array([[251, 232, 243, 224], [646, 992, 918, 1024], [-264, 192, 648, 384],
                       [106, 32, 378, 1024], [-19, -8, -27, 224]]) / 2880.0
-# Taylor coefficients of sin d - d (d^3 to d^9) and cos d - 1 (d^2 to d^10), highest first:
-# the next terms are below 3e-18 of the value for |d| <= pi/32, the widest table cell
-_SIN_D = (1.0 / 362880.0, -1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
-_COS_D = (-1.0 / 3628800.0, 1.0 / 40320.0, -1.0 / 720.0, 1.0 / 24.0, -0.5)
-# the tangent angle at p = 3 on a circle of 1024 steps: cos and sin at each
-# step, at angles taken in (-pi, pi], where they round half as far as in [0, 2 pi)
-_CIRCLE_STEPS = 1024
+# the widest table cell, which _InverseCDF cuts wider cells down to
+_CELL_MAX = math.pi / 128
+# Taylor coefficients of sin d - d (d^3 to d^7) and cos d - 1 (d^2 to d^6), highest first:
+# the next terms are below 4e-18 of the value for |d| <= _CELL_MAX
+_SIN_D = (-1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
+_COS_D = (-1.0 / 720.0, 1.0 / 24.0, -0.5)
+# the tangent angle at p = 3 on a circle of 4096 steps: cos and sin at each
+# step, at angles taken in (-pi, pi], where they round half as far as in [0, 2 pi);
+# the remainder d below one step takes sin d - d through d^3 (d^5 / 120 < 0.33 eps)
+# and cos d - 1 through d^4
+_CIRCLE_STEPS = 4096
+_CIRCLE_SIN_D, _CIRCLE_COS_D = (-1.0 / 6.0,), (1.0 / 24.0, -0.5)
 _CIRCLE_STEP = 2.0 * math.pi / _CIRCLE_STEPS
 _steps = np.arange(_CIRCLE_STEPS)
 _steps[_CIRCLE_STEPS // 2 + 1:] -= _CIRCLE_STEPS
@@ -140,15 +148,16 @@ def _cell_masses(logs, width, shift):
     return (vals @ _PARTIALS) * width[:, None], vals[:, 0], vals[:, 4]
 
 
-def _rotate(cos_a, sin_a, d):
-    """cos(a + d) and sin(a + d) from cos a, sin a and |d| <= pi/32, by
-    angle addition with sin d and cos d - 1 as Taylor polynomials."""
+def _rotate(cos_a, sin_a, d, sin_terms=_SIN_D, cos_terms=_COS_D):
+    """cos(a + d) and sin(a + d) from cos a, sin a and |d| <= _CELL_MAX, by
+    angle addition with sin d and cos d - 1 as the Taylor polynomials of
+    the given coefficients."""
     d2 = d * d
-    sin_d, cos_d = d2 * _SIN_D[0], d2 * _COS_D[0]
-    for c in _SIN_D[1:]:
+    sin_d, cos_d = d2 * sin_terms[0], d2 * cos_terms[0]
+    for c in sin_terms[1:]:
         sin_d += c
         sin_d *= d2
-    for c in _COS_D[1:]:
+    for c in cos_terms[1:]:
         cos_d += c
         cos_d *= d2
     sin_d *= d
@@ -164,19 +173,20 @@ def _rotate(cos_a, sin_a, d):
 
 def _circle(u: np.ndarray):
     """cos w and sin w of the angle w = 2 pi u, u in [0, 1): the step
-    below w from the table and the exact remainder of 1024 u."""
+    below w from the table and the exact remainder of 4096 u."""
     d = u * _CIRCLE_STEPS  # exact: a power of two
     step = d.astype(np.intp)
     d -= step
     d *= _CIRCLE_STEP
-    return _rotate(_CIRCLE_COS.take(step), _CIRCLE_SIN.take(step), d)
+    return _rotate(_CIRCLE_COS.take(step), _CIRCLE_SIN.take(step), d,
+                   _CIRCLE_SIN_D, _CIRCLE_COS_D)
 
 
 class _InverseCDF:
-    """Inverse CDF of phi = arccos(u'e_p) over cells [left, left + width]:
-    the CDF at the edges, a density 1 - tilt + 2 tilt y on each unit cell,
-    cos and sin of each left edge, and a guide table: the last edge at or
-    below each of 2^k steps in u."""
+    """Inverse CDF of phi = arccos(u'e_p) over cells [left, left + width]
+    at most _CELL_MAX wide: the CDF at the edges, a density
+    1 - tilt + 2 tilt y on each unit cell, cos and sin of each left edge,
+    and a guide table: the last edge at or below each of 2^k steps in u."""
 
     def __init__(self, p: int, kappa: float, f: AngularFunction):
         # positivity probe: f(kappa s) > 0, with a finite log, on [-1, 1]
@@ -220,19 +230,33 @@ class _InverseCDF:
                                   f"'{f.name}' at p={p}, kappa={kappa}")
         left, width, logs = (np.concatenate(parts) for parts in zip(*done))
         order = np.argsort(left)
-        self.left, self.width, logs = left[order], width[order], logs[order]
-        self.cos_left, self.sin_left = np.cos(self.left), np.sin(self.left)
-        partial, fa, fb = _cell_masses(logs, self.width, logs.max())
+        left, width, logs = left[order], width[order], logs[order]
+        partial, fa, fb = _cell_masses(logs, width, logs.max())
         mass = np.cumsum(partial[:, -1])
-        self.cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
-        self.upper = self.cdf[1:]
-        self.inv_mass = 1.0 / np.maximum(np.diff(self.cdf), 1e-300)
+        cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
         tilt = np.divide(fb - fa, fa + fb, out=np.zeros_like(fa), where=fa + fb > 0.0)
-        # per cell: 1 - tilt, its square and 4 tilt, the terms of the inversion in angles
-        self.lo = 1.0 - tilt
-        self.lo_sq, self.tilt4 = self.lo * self.lo, 4.0 * tilt
-        steps = 1 << max(10, (4 * left.size - 1).bit_length())
-        self.guide = np.repeat(np.arange(left.size),
+        # cells wider than _CELL_MAX (by more than the rounding of equal cells' edges)
+        # are cut into m equal pieces of the same linear density: piece i spans
+        # y in [i/m, (i+1)/m] of the unit cell, whose CDF is (1 - tilt) y + tilt y^2
+        # of the cell's mass, and tilts by tilt / (m - tilt (m - 2i - 1)), tilt itself at m = 1
+        pieces = np.ceil(width / (_CELL_MAX + np.spacing(math.pi))).astype(np.intp)
+        cell = np.repeat(np.arange(width.size), pieces)
+        m = pieces[cell]
+        i = np.arange(cell.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        y, tilt, width = i / m, tilt[cell], width[cell]
+        self.left, self.width = left[cell] + y * width, width / m
+        self.cos_left, self.sin_left = np.cos(self.left), np.sin(self.left)
+        self.cdf = np.append(cdf[cell] + np.diff(cdf)[cell] * (y * (1.0 - tilt + tilt * y)), 1.0)
+        self.upper = self.cdf[1:]
+        tilt /= m - tilt * (m - 2 * i - 1)
+        # per cell, the terms of the inversion: 2 width / mass, 4 tilt / mass,
+        # 1 - tilt (+ 1e-300, which keeps 0 / 0 out of a cell with tilt 1) and its square
+        mass = np.maximum(np.diff(self.cdf), 1e-300)
+        self.scale, self.slope = 2.0 * self.width / mass, 4.0 * tilt / mass
+        self.lo_sq = (1.0 - tilt) ** 2
+        self.lo = 1.0 - tilt + 1e-300
+        steps = 1 << max(10, (4 * cell.size - 1).bit_length())
+        self.guide = np.repeat(np.arange(cell.size),
                                np.diff(np.ceil(self.cdf * steps).astype(np.intp)))
 
     def _locate(self, u: np.ndarray):
@@ -242,10 +266,10 @@ class _InverseCDF:
         far = u >= self.upper.take(j)  # steps of u holding several edges: tails, empty cells
         if far.any():
             j[far] = np.searchsorted(self.cdf, u[far], side="right") - 1
-        q, lo = (u - self.cdf.take(j)) * self.inv_mass.take(j), self.lo.take(j)
-        y = 2.0 * q / (lo + np.sqrt(np.maximum(self.lo_sq.take(j) + self.tilt4.take(j) * q, 0.0))
-                       + 1e-300)
-        return j, self.width.take(j) * y
+        r = u - self.cdf.take(j)  # the mass into cell j
+        d = self.scale.take(j) * r
+        d /= self.lo.take(j) + np.sqrt(np.maximum(self.lo_sq.take(j) + self.slope.take(j) * r, 0.0))
+        return j, d
 
     def cos_sin(self, u: np.ndarray):
         """cos phi and sin phi at CDF values u in [0, 1), from the cell edges."""
@@ -282,7 +306,11 @@ def _check_unit_norms(points: np.ndarray) -> None:
 @dataclass(frozen=True)
 class SphericalSample:
     """n unit vectors in R^p, one per row of the (n, p) array `points`;
-    n and p are read from its shape."""
+    n and p are read from its shape.  Samples from sample_rotsym,
+    from_points and load_csv store coordinate rows: `points` is the
+    transpose of a C-contiguous (p, n) array, so `points.T` holds each
+    coordinate over the sample in one contiguous row.  Any other layout
+    is read the same, at the cost of a copy."""
 
     points: np.ndarray
 
@@ -296,12 +324,13 @@ class SphericalSample:
 
     @classmethod
     def from_points(cls, points) -> "SphericalSample":
-        points = np.ascontiguousarray(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise ValueError("points must form an (n, p) array with n >= 1 and p >= 2")
         _check_unit_norms(points)
-        points.setflags(write=False)
-        return cls(points)
+        rows = np.ascontiguousarray(points.T)
+        rows.setflags(write=False)
+        return cls(rows.T)
 
 
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
@@ -311,48 +340,37 @@ def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> Spheric
     return sample_rotsym(RotSymConfig(p, 0.0, vmf(), seed), n, replicate)
 
 
-def _normalized_gaussians(gen, n: int, p: int) -> np.ndarray:
-    """n normalized Gaussians in R^p: uniform directions (tiny rows redrawn)."""
-    z = gen.standard_normal((n, p))
-    norms = np.linalg.norm(z, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        z[bad] = gen.standard_normal((int(bad.sum()), p))
-        norms = np.linalg.norm(z, axis=1)
-    z /= norms[:, None]
-    return z
-
-
 def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> SphericalSample:
     """n draws from the density proportional to f(kappa * u'e_p),
     deterministic in (config, n, replicate): u = (sin(phi) xi, cos(phi))
     with xi a sign at p = 2, one uniform angle at p = 3, else a
-    normalized Gaussian in R^(p-1)."""
+    normalized Gaussian in R^(p-1), written into the sample's (p, n)
+    coordinate rows one row at a time."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.stream(config.seed, replicate)
     p = config.p
     t, s = config.table.cos_sin(gen.random(n))
-    if p == 3:
-        # (-s sin w, s cos w, t) written column by column into one array;
-        # negating the product is exact, so the bits are those of -s * sin w
-        points = np.empty((n, 3))
-        points[:, 2] = t
-        cos_w, sin_w = _circle(gen.random(n))
-        x, y = points[:, 0], points[:, 1]
-        np.multiply(sin_w, s, out=x)
-        np.negative(x, out=x)
-        np.multiply(cos_w, s, out=y)
-        return SphericalSample(points)
+    rows = np.empty((p, n))
+    rows[-1] = t
     if p == 2:
-        points = np.empty((n, 2))
-        np.multiply(1.0 - 2.0 * gen.integers(0, 2, size=n), s, out=points[:, 0])
-        points[:, 1] = t
-        return SphericalSample(points)
-    points = np.empty((n, p))
-    np.multiply(_normalized_gaussians(gen, n, p - 1), s[:, None], out=points[:, :-1])
-    points[:, -1] = t
-    return SphericalSample(points)
+        np.multiply(1.0 - 2.0 * gen.integers(0, 2, size=n), s, out=rows[0])
+    elif p == 3:
+        # (-s sin w, s cos w); negating the product is exact, so the bits are those of -s * sin w
+        cos_w, sin_w = _circle(gen.random(n))
+        np.multiply(sin_w, s, out=rows[0])
+        np.negative(rows[0], out=rows[0])
+        np.multiply(cos_w, s, out=rows[1])
+    else:
+        # xi = z / |z| for n normals z in R^(p-1), rows with a tiny norm redrawn;
+        # one pass writes the rows s xi = z' (s / |z|)
+        z = gen.standard_normal((n, p - 1))
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        while (bad := norms < 1e-12).any():
+            z[bad] = gen.standard_normal((int(bad.sum()), p - 1))
+            norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        np.multiply(z.T, s / norms, out=rows[:-1])
+    return SphericalSample(rows.T)
 
 
 def save_csv(sample: SphericalSample, path) -> None:

@@ -5,9 +5,10 @@ form of the statistic, plus the classical special cases.
 The harmonic form takes each active degree k by one of two routes, fixed
 by k alone.  Degrees 1-4 come from moment power sums
 S_m = sum_ij (u_i'u_j)^m = ||sum_i u_i^(x)m||^2, m <= k, built by a few
-matrix products over the (n, p) sample with no harmonic basis, S_3 from
-its tensor's distinct entries; degrees 5 and up sum the columns of the
-d_{p,k}-column orthonormal basis over row slices, so memory does not grow with n."""
+matrix products over the sample's (p, n) coordinate rows with no harmonic
+basis, degree 3 from the distinct entries of its traceless third-moment
+tensor; degrees 5 and up sum the columns of the d_{p,k}-column
+orthonormal basis over row slices, so memory does not grow with n."""
 
 from __future__ import annotations
 
@@ -36,9 +37,10 @@ __all__ = [
 
 _TRUNC_REL_TOL = 1e-6
 _TRUNC_K_MAX = 600
-# degrees up to this one are summed from moment power sums, higher ones
-# from the columns of the harmonic basis
-_POWER_SUM_MAX_DEGREE = 4
+# the orders m of the power sums that degrees k <= 4 take, sum_m a_{k,m} P_m (P_0 = 0;
+# degree 3's P_1 term is inside its P_3, see _centered_power_sums); higher degrees are
+# summed from the columns of the harmonic basis
+_POWER_SUM_ORDERS = {1: (1,), 2: (2,), 3: (3,), 4: (4, 2)}
 # entries per block of points of the pairwise-product matrix W; a slice
 # of the degree k >= 5 basis has at most 4 times as many
 _FEATURE_BLOCK = 1 << 20
@@ -199,40 +201,56 @@ def _kernel_monomials(p: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _third_weights(p: int) -> np.ndarray:
-    """Weights of the T_cab of _centered_power_sums, rows c, columns a <= b as in W: the
-    orderings of (c, a, b) halved where a < b for W's sqrt(2), so 3 for c < a; 0 for c > a."""
+def _third_layout(p: int) -> tuple:
+    """The distinct third-moment entries of _centered_power_sums, rows c, columns
+    a <= b as in W: the weight of each square, its orderings halved where a < b for
+    W's sqrt(2), so 3 for c < a; 0 for c > a.  Then the flat indices of the entries
+    c <= a that H shifts, and per index the coordinate of t and the multiple of
+    t / (p + 2) it loses: t_c from H_caa, 3 t_a from H_aaa, sqrt(2) t_b (W's scale)
+    from H_aab, a < b."""
     c, (a, b) = np.arange(p)[:, None], np.triu_indices(p)
-    return np.where(c < a, 3.0, np.where(c == a, np.where(a == b, 1.0, 1.5), 0.0))
+    weights = np.where(c < a, 3.0, np.where(c == a, np.where(a == b, 1.0, 1.5), 0.0))
+    at = np.flatnonzero((c <= a) & ((a == b) | (c == a)))
+    source = np.broadcast_to(np.where(a == b, c, b), weights.shape).ravel()[at]
+    factor = np.where(c == a, np.where(a == b, 3.0, math.sqrt(2.0)), 1.0).ravel()[at]
+    return weights, at, source, factor / (p + 2)
 
 
-def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
+def _centered_power_sums(XT: np.ndarray, orders: set) -> dict:
     """P_m = S_m - n^2 E_0[s^m] for each m in orders (1 <= m <= 4), where
-    E_0[s^m] is the m-th moment of u'v for independent uniform u, v.
+    E_0[s^m] is the m-th moment of u'v for independent uniform u, v, with
+    P_3 - 3 P_1 / (p + 2) in place of P_3.  XT is the C-contiguous (p, n)
+    array of coordinate rows.
 
     sum_m a_{k,m} E_0[s^m] = E_0[h_{p,k}(s)] = 0 for k >= 1, so
     sum_m a_{k,m} S_m = sum_m a_{k,m} P_m with P_0 = 0.  Each P_m is the
     squared norm of a moment tensor with its null mean taken out, so its
     entries are O(sqrt(n)) sums and nothing of order n^2 cancels:
-      P_1 = ||X'1||^2,  P_2 = ||X'X - (n/p) I||_F^2,
+      P_1 = ||t||^2 for t = X'1, the row sums of XT,
+      P_2 = ||X'X - (n/p) I||_F^2,  X'X = XT XT',
       P_3 = ||sum_i u_i^(x)3||^2 = sum_abc T_abc^2,
       P_4 = ||W_c'W_c - n Sigma||_F^2 + (2/p) P_2.
     W has the columns x_a x_b, a <= b, off-diagonal ones scaled by
     sqrt(2), so w_i'w_j = (u_i'u_j)^2; W_c is W with 1/p taken from its
     diagonal columns, the coordinates of u_i u_i' - I/p; and n Sigma, with
     Sigma = 2/(p(p+2)) (I - e e'/p) for the indicator e of the diagonal
-    columns, is the null mean of W_c'W_c.  P_3 weights the square of each
-    distinct T_cab = sum_i x_ic x_ia x_ib, c <= a <= b, by its orderings:
+    columns, is the null mean of W_c'W_c.  Degree 3 is a_{3,3} P_3 + a_{3,1} P_1
+    with a_{3,1} = -3 a_{3,3} / (p + 2) for every p, which is a_{3,3} ||H||^2 for the
+    traceless H_abc = T_abc - (delta_ab t_c + delta_ac t_b + delta_bc t_a) / (p + 2)
+    (sum_a T_aac = t_c on unit rows): the P_1 term cancels in the entries, not in the
+    sum, where a strong mean direction would cost digits.  It weights the square of
+    each distinct H_cab, T_cab = sum_i x_ic x_ia x_ib, c <= a <= b, by its orderings:
     p(p+1)(p+2) n / 6 + about p^2 n / 4 multiply-adds, two a per product
     (one product where p^2 n < 80000), where ||X'W||_F^2 took p^2(p+1) n / 2.
-    Both accumulate over row blocks: memory O(p^4 + block), never O(n p^2)."""
-    n, p = X.shape
+    Both accumulate over blocks of columns of XT: memory O(p^4 + block), never O(n p^2)."""
+    p, n = XT.shape
     sums = {}
-    if 1 in orders:
-        col = np.einsum("ij->j", X)  # X.sum(axis=0) bit for bit on C-ordered X, faster
-        sums[1] = float(col @ col)
+    if orders & {1, 3}:
+        t = XT.sum(axis=1)
+        if 1 in orders:
+            sums[1] = float(t @ t)
     if orders & {2, 4}:
-        scatter = X.T @ X
+        scatter = XT @ XT.T
         scatter[np.diag_indices(p)] -= n / p
         sums[2] = float(np.sum(scatter * scatter))
     if orders & {3, 4}:
@@ -246,7 +264,6 @@ def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
         # two a per product where a call costs less than the entries c > a it skips
         step = 2 if p * p * min(n, block) >= 80_000 else p
         chunks = [(a0, min(a0 + step, p)) for a0 in range(0, p, step)]
-        XT = np.ascontiguousarray(X.T)
         # degree 4 keeps all of W' for W_c'W_c; degree 3 alone reuses one chunk's rows
         feat = np.empty((width if fourth is not None else diag[step], min(n, block)))
         for i0 in range(0, n, block):
@@ -264,7 +281,9 @@ def _centered_power_sums(X: np.ndarray, orders: set) -> dict:
                 fb[diag[:p]] -= 1.0 / p
                 fourth += fb @ fb.T
         if third is not None:
-            sums[3] = float(np.sum(_third_weights(p) * third * third))
+            weights, at, source, factor = _third_layout(p)
+            third.reshape(-1)[at] -= factor * t.take(source)
+            sums[3] = float(np.sum(weights * third * third))
         if fourth is not None:
             shift = 2.0 * n / (p * (p + 2))
             fourth[np.diag_indices(width)] -= shift
@@ -278,22 +297,24 @@ def stat_harmonics(sample: SphericalSample, weight_list) -> list:
     sample: sum_k v_k^2 || n^(-1/2) sum_i G_k(u_i) ||^2 over each one's
     active degrees.
 
-    One _centered_power_sums call serves the orders of every sequence's
-    degrees k <= 4, and each degree k >= 5 sums the columns of
-    basis_matrix(p, k, X[i:i + rows]) once over row slices of at most
-    4 _FEATURE_BLOCK entries.  Each P_m and each column sum comes out
-    the same whatever else is requested, so every statistic has the bits
-    it has alone, and the same on points in any memory layout."""
-    X = np.ascontiguousarray(sample.points)
-    n, p = X.shape
+    One _centered_power_sums call, on the sample's coordinate rows
+    (copied into that layout if they are not in it), serves the orders of
+    every sequence's degrees k <= 4, and each degree k >= 5 sums the
+    columns of basis_matrix(p, k, X[i:i + rows]) once over row slices of
+    at most 4 _FEATURE_BLOCK entries.  Each P_m and each column sum comes
+    out the same whatever else is requested, so every statistic has the
+    bits it has alone, and the same on points in any memory layout."""
+    XT = np.ascontiguousarray(sample.points.T)
+    p, n = XT.shape
     degree_lists = [weights.active_degrees(p) for weights in weight_list]
     wanted = {k for degrees in degree_lists for k in degrees}
-    low = {k for k in wanted if k <= _POWER_SUM_MAX_DEGREE}
-    sums = _centered_power_sums(X, {m for k in low for m in range(k, 0, -2)})
-    values = {k: sum(_kernel_monomials(p, k)[m] * sums[m] for m in range(k, 0, -2)) for k in low}
+    low = wanted & _POWER_SUM_ORDERS.keys()
+    sums = _centered_power_sums(XT, {m for k in low for m in _POWER_SUM_ORDERS[k]})
+    values = {k: sum(_kernel_monomials(p, k)[m] * sums[m] for m in _POWER_SUM_ORDERS[k])
+              for k in low}
     for k in wanted - low:
         rows = max(1, 4 * _FEATURE_BLOCK // harmonic_dim(p, k))
-        col = sum(basis_matrix(p, k, X[i:i + rows]).sum(axis=0) for i in range(0, n, rows))
+        col = sum(basis_matrix(p, k, XT[:, i:i + rows].T).sum(axis=0) for i in range(0, n, rows))
         values[k] = float(col @ col)
     return [sum((weights.weight(k) ** 2 * values[k] / n for k in degrees), 0.0)
             for weights, degrees in zip(weight_list, degree_lists)]
@@ -307,8 +328,7 @@ def stat_harmonic(sample: SphericalSample, weights: WeightSequence) -> float:
     from the centered power sums of _centered_power_sums; no basis is
     built.  A degree k >= 5 sums the columns of basis_matrix(p, k, X)
     over row slices.  The two routes agree with stat_kernel and with each
-    other within a relative 1e-11 on the tests' samples, n <= 5000, p <= 50
-    (the README's numerical notes say where degree 3 loses more)."""
+    other within a relative 1e-11 on the tests' samples, n <= 5000, p <= 50."""
     return stat_harmonics(sample, [weights])[0]
 
 

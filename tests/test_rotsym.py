@@ -147,6 +147,22 @@ def test_sample_size_and_dimension_are_the_array_shape():
         rotsym.SphericalSample(4, 7, points)
 
 
+@pytest.mark.parametrize("p", [2, 3, 20])
+def test_samples_store_coordinate_rows(p, tmp_path):
+    # points is the (n, p) view of a C-contiguous (p, n) array, from the
+    # sampler, from_points (given either layout) and load_csv
+    sample = rotsym.sample_rotsym(rotsym.RotSymConfig(p=p, kappa=1.0, f=rotsym.vmf(), seed=9), 40)
+    assert sample.points.shape == (40, p) and sample.points.T.flags.c_contiguous
+    for points in (np.ascontiguousarray(sample.points), sample.points):
+        copy = rotsym.SphericalSample.from_points(points)
+        assert copy.points.T.flags.c_contiguous
+        np.testing.assert_array_equal(copy.points, sample.points)
+    rotsym.save_csv(sample, tmp_path / "sample.csv")
+    loaded = rotsym.load_csv(tmp_path / "sample.csv")
+    assert loaded.points.T.flags.c_contiguous
+    np.testing.assert_array_equal(loaded.points, sample.points)
+
+
 def test_from_points_rejects_an_empty_sample():
     with pytest.raises(ValueError, match="n >= 1"):
         rotsym.SphericalSample.from_points(np.empty((0, 3)))
@@ -376,10 +392,10 @@ def test_table_kolmogorov_distance(p, name, kappa):
     # Q, sup_x |P[Q(U) <= x] - F(x)| = sup_u |F(Q(u)) - u|; it is probed at
     # quarter points of cells (where the within-cell error peaks), on a
     # grid, and in both tails.  The same probes check cos_sin against libm
-    # at phi = left[j] + d, in cells at most pi/32 wide, where its Taylor
+    # at phi = left[j] + d, in cells at most pi/128 wide, where its Taylor
     # polynomials hold (the equal cells' edges round to the spacing of pi)
     table = rotsym.RotSymConfig(p=p, kappa=kappa, f=_profile(name)).table
-    assert table.width.max() <= math.pi / 32 + np.spacing(math.pi)
+    assert table.width.max() <= math.pi / 128 + np.spacing(math.pi)
     cdf = table.cdf
     gen = np.random.default_rng(17)
     cells = gen.choice(cdf.size - 1, size=min(150, cdf.size - 1), replace=False)
@@ -396,13 +412,47 @@ def test_table_kolmogorov_distance(p, name, kappa):
     assert np.max(np.abs(_quad_cdf_phi(p, kappa, name, phi) - u)) <= 1e-7
 
 
+@pytest.mark.parametrize("p,kappa", [(3, 30.0), (20, 0.9)])
+def test_split_cells_keep_the_parent_law(monkeypatch, p, kappa):
+    # cells the refinement leaves wider than pi/128 are cut into equal
+    # pieces of the same linear density, with no new density evaluation.
+    # The unsplit table (a cap above pi) has the parent cells: their edges
+    # keep their CDF values, and within them phi(u) is the parent's
+    # closed-form inversion within 4 eps of phi, plus 4 eps of u carried
+    # through the parent's dphi/du (the pieces' CDF values round to u's
+    # own spacing, which near u = 1 spans much of a tail cell)
+    table = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf()).table
+    monkeypatch.setattr(rotsym, "_CELL_MAX", 4.0)
+    parent = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf()).table
+    pieces = np.ceil(parent.width / (math.pi / 128 + np.spacing(math.pi))).astype(int)
+    assert pieces.max() > 1 and table.width.size == pieces.sum()
+    first = np.cumsum(pieces) - pieces
+    np.testing.assert_array_equal(table.left[first], parent.left)
+    np.testing.assert_array_equal(table.cdf[first], parent.cdf[:-1])
+    assert table.cdf[-1] == parent.cdf[-1] == 1.0
+    wide = np.flatnonzero(pieces > 1)
+    lo, mass = parent.cdf[wide], np.diff(parent.cdf)[wide]
+    u = np.concatenate([(lo[:, None] + mass[:, None] * np.random.default_rng(33).random(
+        (wide.size, 2000))).ravel(), table.cdf[:-1]])
+    u = u[u < 1.0]
+    j, d = parent._locate(u)
+    inside = np.isin(j, wide)
+    u, j, d = u[inside], j[inside], d[inside]
+    k, e = table._locate(u)
+    phi, want = table.left[k] + e, parent.left[j] + d
+    tilt = 1.0 - parent.lo[j]
+    slope = parent.width[j] / (np.diff(parent.cdf)[j] * (1.0 - tilt + 2.0 * tilt * d / parent.width[j]))
+    assert np.all(np.abs(phi - want) <= 4.0 * _EPS * (want + u * slope))
+
+
 def test_rotate_against_longdouble():
     # angle addition with Taylor polynomials for sin d and cos d - 1,
-    # over every base angle and cell offset the tables can hand it
+    # over every base angle and cell offset the tables can hand it: cells
+    # are at most pi/128 wide
     gen = np.random.default_rng(31)
     a = np.concatenate([gen.uniform(0.0, math.pi, 100_000), [0.0, math.pi / 2, math.pi]])
-    d = np.concatenate([gen.uniform(-math.pi / 32, math.pi / 32, 100_000),
-                        [math.pi / 32, -math.pi / 32, math.pi / 32]])
+    d = np.concatenate([gen.uniform(-math.pi / 128, math.pi / 128, 100_000),
+                        [math.pi / 128, -math.pi / 128, math.pi / 128]])
     cos_a, sin_a = np.cos(a), np.sin(a)
     cos, sin = rotsym._rotate(cos_a, sin_a, d)
     dl = d.astype(np.longdouble)
@@ -413,10 +463,10 @@ def test_rotate_against_longdouble():
 
 def test_circle_against_longdouble():
     # the step angles are taken in (-pi, pi]: over [0, 2 pi) they round
-    # twice as far, and the circle's error reaches 2.9 eps
+    # twice as far; every step edge and midpoint of the 4096-step circle
     gen = np.random.default_rng(32)
-    steps = np.arange(1024) / 1024
-    u = np.concatenate([gen.random(200_000), steps, steps + 0.5 / 1024, [1.0 - 2.0**-53]])
+    steps = np.arange(4096) / 4096
+    u = np.concatenate([gen.random(200_000), steps, steps + 0.5 / 4096, [1.0 - 2.0**-53]])
     cos, sin = rotsym._circle(u)
     w = 2.0 * np.arccos(np.longdouble(-1.0)) * u.astype(np.longdouble)
     assert np.max(np.abs(cos - np.cos(w))) <= 2.0 * _EPS

@@ -316,8 +316,9 @@ def test_result_record_round_trip():
 
 # Stated relative bound between the power-sum route (degrees 1-4), the
 # basis column sums and the kernel sum.  Measured over the cases of
-# test_power_sum_route_matches_basis_and_kernel: at most 1.2e-13 (p = 2,
-# n = 5000, vMF, k = 3).
+# test_power_sum_route_matches_basis_and_kernel: at most 6.2e-14 (p = 2,
+# n = 5000, uniform, k = 2); 8.5e-14 on the vMF kappa = 1 sample of
+# test_degree_three_with_a_strong_mean_direction.
 _ROUTE_REL_BOUND = 1e-11
 
 
@@ -353,6 +354,17 @@ def test_power_sum_route_matches_basis_and_kernel(p, n):
             assert got == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
             if harmonic_dim(p, k) * n <= 2_000_000:
                 assert got == pytest.approx(_basis_value(sample, k), rel=_ROUTE_REL_BOUND)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_degree_three_with_a_strong_mean_direction(p):
+    # on vMF kappa = 1 a_{3,3} P_3 and a_{3,1} P_1 nearly cancel; the
+    # traceless third-moment tensor takes the P_1 term out entry by entry,
+    # so degree 3 stays within the route bound of stat_kernel (the sum of
+    # the two terms missed it by 1.4e-11 at p = 2 and 1.1e-11 at p = 3)
+    sample = sample_rotsym(RotSymConfig(p=p, kappa=1.0, f=vmf(), seed=32), 5000)
+    w = WeightSequence.delta(3)
+    assert stat_harmonic(sample, w) == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
 
 
 @pytest.mark.parametrize("p,n", [(3, 500), (20, 40)])
@@ -431,19 +443,36 @@ def test_degree_three_distinct_entries_match_kernel(p, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 20])
 def test_power_sums_ignore_the_memory_layout(p):
-    # C-ordered points, a Fortran-ordered copy and a column slice of a
-    # wider array give the same floats, alone and in lists
-    points = sample_rotsym(RotSymConfig(p=p, kappa=0.7, f=vmf(), seed=38), 900).points
+    # the sampler's coordinate rows, a C-ordered SphericalSample(points), a
+    # Fortran-ordered copy and a column slice of a wider array give the
+    # same floats, alone and in lists
+    sample = sample_rotsym(RotSymConfig(p=p, kappa=0.7, f=vmf(), seed=38), 900)
+    points = np.ascontiguousarray(sample.points)
     wide = np.zeros((900, p + 3))
     wide[:, 1:p + 1] = points
     weight_list = [WeightSequence.delta(k) for k in range(1, 5)] + [
         WeightSequence.finite([1.0, 0.5, 0.25]), WeightSequence.finite([0.0, 1.0, 0.0, 0.5]),
         WeightSequence.finite([1.0, 1.0, 1.0, 1.0])]
-    want = [float.hex(v) for v in stat_harmonics(SphericalSample(points), weight_list)]
-    for X in (np.asfortranarray(points), wide[:, 1:p + 1]):
+    want = [float.hex(v) for v in stat_harmonics(sample, weight_list)]
+    for X in (points, np.asfortranarray(points), wide[:, 1:p + 1]):
         got = stat_harmonics(SphericalSample(X), weight_list)
         assert [float.hex(v) for v in got] == want
         assert [float.hex(stat_harmonic(SphericalSample(X), w)) for w in weight_list] == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 20])
+def test_kernel_and_basis_read_either_layout(p):
+    # stat_kernel within the route bound, basis_matrix within the golden
+    # basis tolerance, on the sampler's coordinate rows and a C-ordered copy
+    sample = sample_rotsym(RotSymConfig(p=p, kappa=0.7, f=vmf(), seed=39), 700)
+    copy = SphericalSample(np.ascontiguousarray(sample.points))
+    assert not copy.points.T.flags.c_contiguous
+    for k in (1, 2, 5):
+        w = WeightSequence.delta(k)
+        assert stat_kernel(copy, w) == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+    want = basis_matrix(p, 3, sample.points)
+    np.testing.assert_allclose(basis_matrix(p, 3, copy.points), want, rtol=0,
+                               atol=1e-13 * math.sqrt(want.shape[1]))
 
 
 def test_norm_tolerance_is_the_same_on_every_route():

@@ -14,7 +14,13 @@ through the inverse-CDF table too, and p - 1 tangent normals per point
 at p >= 4; every tau = 0 row and every p = 20 row was redrawn.
 Version 6: the degree-3 power sum from the distinct entries of the
 third-moment tensor; degree-3 statistics move by rounding, no golden
-row moved, only `stat_3` digests of sampler_bits.json.
+row moved, only `stat_3` digests of sampler_bits.json.  Version 7: table
+cells at most pi/128 wide with shorter angle-addition polynomials, a
+4096-step tangent circle at p = 3, one pass for the tangent rows at
+p >= 4, samples stored as coordinate rows, and degree 3 from the
+traceless third-moment tensor; points and statistics move by rounding
+(points within 4 eps), no golden row moved; in sampler_bits.json every
+`points` digest and 92 of the 128 `stat_k` fields moved.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -44,7 +50,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 6
+FIXTURE_STREAM_VERSION = 7
 
 _README_GRID = dict(
     p=3,
