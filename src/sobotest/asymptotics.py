@@ -296,7 +296,11 @@ class MixtureLaw:
         if not clean:
             raise ValueError("a mixture needs at least one term")
         self.terms = tuple(clean)
-        weight, df, nc = (np.array(column, dtype=float) for column in zip(*clean))
+        # evaluated in units of the power of two at or below the largest weight: a
+        # common factor changes no probability, and this one changes no bit of it
+        self._unit = math.ldexp(1.0, math.frexp(max(w for w, _, _ in clean))[1] - 1)
+        self._scaled = tuple((w / self._unit, df, nc) for w, df, nc in clean)
+        weight, df, nc = (np.array(column, dtype=float) for column in zip(*self._scaled))
         self._w, self._half_df, self._half_nc = weight, 0.5 * df, 0.5 * nc
         self._mean = float(weight @ (df + nc))
         self._cut = 0.5 / float(weight.max())
@@ -323,7 +327,7 @@ class MixtureLaw:
     def tail(self, c: float):
         """P[mixture > c] with its error; ArithmeticError where the contour
         gives no probability within that error."""
-        x = float(c)
+        x = float(c) / self._unit
         if math.isnan(x):
             raise ValueError("a tail needs a number, got nan")
         if x <= 1e-40 * float(self._w.min()):
@@ -339,8 +343,8 @@ class MixtureLaw:
                 return 1.0, math.exp(low)
         value, err, _ = self._contour(x, self._saddle(x))(x)
         if not -err <= value <= 1.0 + err:
-            raise ArithmeticError(f"contour tail {value!r} at x={x!r} is not a probability "
-                                  f"within its error {err!r}")
+            raise ArithmeticError(f"contour tail {value!r} at x={x * self._unit!r} is not "
+                                  f"a probability within its error {err!r}")
         return value, err
 
     def _cumulants(self, c: float):
@@ -348,7 +352,7 @@ class MixtureLaw:
         -df/2 log(1 - 2 w s) + nc w s / (1 - 2 w s); the first summed in a
         form free of the cancellation between K and c K'."""
         k0 = k1 = k2 = k3 = 0.0
-        for w, df, nc in self.terms:
+        for w, df, nc in self._scaled:
             t = 2.0 * w * c
             r = 1.0 / (1.0 - t)
             k0 -= 0.5 * (df * (math.log1p(-t) + t * r) + nc * (t * r) ** 2)
@@ -369,7 +373,7 @@ class MixtureLaw:
             v += max(-2.0, min(2.0, step))
             if abs(step) < 1e-9:
                 return -math.expm1(-v) * self._cut
-        raise ArithmeticError(f"no saddlepoint found for x={x!r}")
+        raise ArithmeticError(f"no saddlepoint found for x={x * self._unit!r}")
 
     def _contour(self, x0: float, c: float):
         """x -> (P[Q > x], its error, Q's density at x) on the parabola through c = saddle(x0)."""
@@ -470,12 +474,13 @@ class MixtureLaw:
                 x, at = k1, self._contour(k1, c)
             value, err, density = at(x)
             if not value > 0.0:
-                raise ArithmeticError(f"contour tail {value!r} at x={x!r} is not positive")
+                raise ArithmeticError(f"contour tail {value!r} at x={x * self._unit!r} "
+                                      "is not positive")
             dx = (math.log(value) - math.log(alpha)) / (density / value)
             shift = x - k1 + dx
             step = min(c + shift / k2, 0.5 * (c + self._cut)) - c
             if dx * dx <= 1e-14 * k2 or step == 0.0 or x + dx == x:
-                return x + dx, err + alpha * dx * dx / k2
+                return (x + dx) * self._unit, err + alpha * dx * dx / k2
             if shift * shift <= k2 and (x + dx < self._mean) == (k1 < self._mean):
                 x += dx
             else:

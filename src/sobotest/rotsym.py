@@ -41,7 +41,7 @@ _TABLE_TOL, _TABLE_MAX_CELLS, _TABLE_MAX_LEVELS = 1e-8, 1 << 16, 120
 _NODES = np.linspace(0.0, 1.0, 5)
 _PARTIALS = np.array([[251, 232, 243, 224], [646, 992, 918, 1024], [-264, 192, 648, 384],
                       [106, 32, 378, 1024], [-19, -8, -27, 224]]) / 2880.0
-# the widest table cell, which _InverseCDF cuts wider cells down to
+# the widest table cell: _InverseCDF starts from cells this wide and only splits them
 _CELL_MAX = math.pi / 128
 # Taylor coefficients of sin d - d (d^3 to d^7) and cos d - 1 (d^2 to d^6), highest first:
 # the next terms are below 4e-18 of the value for |d| <= _CELL_MAX
@@ -183,10 +183,10 @@ def _circle(u: np.ndarray):
 
 
 class _InverseCDF:
-    """Inverse CDF of phi = arccos(u'e_p) over cells [left, left + width]
-    at most _CELL_MAX wide: the CDF at the edges, a density
-    1 - tilt + 2 tilt y on each unit cell, cos and sin of each left edge,
-    and a guide table: the last edge at or below each of 2^k steps in u."""
+    """Inverse CDF of phi = arccos(u'e_p) over the cells [left, left + width]
+    that refining 128 equal cells of _CELL_MAX leaves: the CDF at the edges,
+    a density 1 - tilt + 2 tilt y on each unit cell, cos and sin of each left
+    edge, and a guide table: the last edge at or below each of 2^k steps in u."""
 
     def __init__(self, p: int, kappa: float, f: AngularFunction):
         # positivity probe: f(kappa s) > 0, with a finite log, on [-1, 1]
@@ -201,9 +201,10 @@ class _InverseCDF:
                     out = out + (p - 2) * np.log(np.sin(np.minimum(phi, math.pi - phi)))
             return out
 
-        # 32 equal cells graded down to 1e-15 at both poles: a peak there is seen however narrow
-        grade = math.pi / 32 * 0.5 ** np.arange(1, 48)
-        edges = np.unique(np.concatenate([np.linspace(0.0, math.pi, 33), grade, math.pi - grade]))
+        # 128 equal cells of _CELL_MAX graded down to 1e-15 at both poles: a peak
+        # there is seen however narrow, and refinement only ever narrows a cell
+        grade = _CELL_MAX * 0.5 ** np.arange(1, 46)
+        edges = np.unique(np.concatenate([np.linspace(0.0, math.pi, 129), grade, math.pi - grade]))
         left, width = edges[:-1], np.diff(edges)
         done, shift, z_done = [], -np.inf, 0.0
         for _ in range(_TABLE_MAX_LEVELS):
@@ -233,30 +234,19 @@ class _InverseCDF:
         left, width, logs = left[order], width[order], logs[order]
         partial, fa, fb = _cell_masses(logs, width, logs.max())
         mass = np.cumsum(partial[:, -1])
-        cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
-        tilt = np.divide(fb - fa, fa + fb, out=np.zeros_like(fa), where=fa + fb > 0.0)
-        # cells wider than _CELL_MAX (by more than the rounding of equal cells' edges)
-        # are cut into m equal pieces of the same linear density: piece i spans
-        # y in [i/m, (i+1)/m] of the unit cell, whose CDF is (1 - tilt) y + tilt y^2
-        # of the cell's mass, and tilts by tilt / (m - tilt (m - 2i - 1)), tilt itself at m = 1
-        pieces = np.ceil(width / (_CELL_MAX + np.spacing(math.pi))).astype(np.intp)
-        cell = np.repeat(np.arange(width.size), pieces)
-        m = pieces[cell]
-        i = np.arange(cell.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        y, tilt, width = i / m, tilt[cell], width[cell]
-        self.left, self.width = left[cell] + y * width, width / m
-        self.cos_left, self.sin_left = np.cos(self.left), np.sin(self.left)
-        self.cdf = np.append(cdf[cell] + np.diff(cdf)[cell] * (y * (1.0 - tilt + tilt * y)), 1.0)
+        self.left, self.width = left, width
+        self.cos_left, self.sin_left = np.cos(left), np.sin(left)
+        self.cdf = np.append(0.0, mass / mass[-1])  # ends at 1.0 exactly
         self.upper = self.cdf[1:]
-        tilt /= m - tilt * (m - 2 * i - 1)
+        tilt = np.divide(fb - fa, fa + fb, out=np.zeros_like(fa), where=fa + fb > 0.0)
         # per cell, the terms of the inversion: 2 width / mass, 4 tilt / mass,
         # 1 - tilt (+ 1e-300, which keeps 0 / 0 out of a cell with tilt 1) and its square
         mass = np.maximum(np.diff(self.cdf), 1e-300)
-        self.scale, self.slope = 2.0 * self.width / mass, 4.0 * tilt / mass
+        self.scale, self.slope = 2.0 * width / mass, 4.0 * tilt / mass
         self.lo_sq = (1.0 - tilt) ** 2
         self.lo = 1.0 - tilt + 1e-300
-        steps = 1 << max(10, (4 * cell.size - 1).bit_length())
-        self.guide = np.repeat(np.arange(cell.size),
+        steps = 1 << max(10, (4 * width.size - 1).bit_length())
+        self.guide = np.repeat(np.arange(width.size),
                                np.diff(np.ceil(self.cdf * steps).astype(np.intp)))
 
     def _locate(self, u: np.ndarray):

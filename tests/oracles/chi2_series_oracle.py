@@ -9,6 +9,8 @@ mode (near j = sqrt(nc x) / 2 when x >> nc), so it keeps relative accuracy
 there (within 5e-14 of scipy's ncx2 for chi2(5, 30) out to x = 1000, a
 tail of 1.8e-149).  This is a route independent of the package's contour
 integral, which the tests and the acceptance suite compare it against.
+`exponential_sum_sf` is the closed-form tail of the p = 2 laws, sums of
+weighted chi2(2) terms.
 """
 
 import math
@@ -91,3 +93,13 @@ def noncentral_chi2_sf(x, df: int, nc: float):
     term adds at most 1e-17 of the sum, so deep tails keep relative
     accuracy."""
     return _series_combine(x, df, nc, stats.chi2.sf, grow=True)
+
+
+def exponential_sum_sf(x: float, weights) -> float:
+    """P[sum_k w_k chi2(2) > x] for distinct w_k: w chi2(2) is exponential
+    with rate l = 1 / (2 w), and a sum of exponentials with distinct rates
+    has the upper tail sum_k prod_{j != k} l_j / (l_j - l_k) exp(-l_k x)."""
+    rates = [0.5 / w for w in weights]
+    return math.fsum(
+        math.prod(lj / (lj - lk) for j, lj in enumerate(rates) if j != k) * math.exp(-lk * x)
+        for k, lk in enumerate(rates))

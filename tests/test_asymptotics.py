@@ -35,7 +35,8 @@ from sobotest.sobolev import WeightSequence
 from sobotest.specfun import harmonic_dim, t_factor
 
 from oracles.asymptotics_oracle import neumann_inverse
-from oracles.chi2_series_oracle import noncentral_chi2_cdf, noncentral_chi2_sf, series_bound
+from oracles.chi2_series_oracle import (exponential_sum_sf, noncentral_chi2_cdf,
+                                        noncentral_chi2_sf, series_bound)
 from oracles.rotsym_moments_oracle import gegenbauer_expectation_oracle, t_moment_oracle
 
 BUILTINS = {
@@ -733,17 +734,35 @@ def test_multi_term_deep_tails_against_a_convolution():
         assert value == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("scale", [2.0**400, 2.0**-400, 1e150, 1e-150, 1e-300],
+                         ids=["2^400", "2^-400", "1e150", "1e-150", "1e-300"])
+def test_scaled_weights_scale_the_quantile_and_keep_the_tails(scale):
+    # a common factor on the weights is a change of units: the law is
+    # evaluated in units of a power of two near its largest weight, so a
+    # power-of-two factor changes no bit
+    unit = MixtureLaw([(1.0, 3, 0.0), (0.25, 5, 2.0)])
+    law = MixtureLaw([(scale, 3, 0.0), (0.25 * scale, 5, 2.0)])
+    rel = 0.0 if math.frexp(scale)[0] == 0.5 else 1e-13
+    x, se = unit.quantile(0.05)
+    assert law.quantile(0.05) == pytest.approx((scale * x, se), rel=rel)
+    for y in (0.2 * x, x, 5.0 * x):
+        assert law.tail(scale * y) == pytest.approx(unit.tail(y), rel=rel)
+
+
+def test_power_curve_of_a_tiny_weight():
+    # one degree's weight only sets units: 1e-60 (a law weight of 1e-120) has the curve of 1
+    unit = power_curve(WeightSequence.finite([1.0]), 3, vmf(), [0.0, 1.0, 2.0], 0.05)
+    tiny = power_curve(WeightSequence.finite([1e-60]), 3, vmf(), [0.0, 1.0, 2.0], 0.05)
+    for a, b in zip(unit, tiny):
+        assert b.power == pytest.approx(a.power, rel=1e-12)
+
+
 def test_p2_law_against_its_closed_form():
-    # w chi2_2 is exponential with rate l = 1 / (2 w), and a sum of
-    # exponentials with distinct rates has the upper tail
-    # sum_k prod_{j != k} l_j / (l_j - l_k) exp(-l_k x)
+    # a sum of weighted chi2_2 terms, a sum of exponentials
     weights = (1.0, 0.25, 0.0625)
     law = MixtureLaw([(w, 2, 0.0) for w in weights])
-    rates = [0.5 / w for w in weights]
     for x in (10.0, 50.0, 1000.0):
-        ref = math.fsum(
-            math.prod(lj / (lj - lk) for j, lj in enumerate(rates) if j != k) * math.exp(-lk * x)
-            for k, lk in enumerate(rates))
+        ref = exponential_sum_sf(x, weights)
         value, se = law.tail(x)
         assert abs(value - ref) <= se, (x, value, ref, se)
         assert value == pytest.approx(ref, rel=1e-11, abs=0.0)

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 import sobotest.cli as cli_module
+from oracles.chi2_series_oracle import exponential_sum_sf
 from sobotest.asymptotics import MixtureLaw
 from sobotest.cli import cli
-from sobotest.harness import PowerTable
-from sobotest.rotsym import SphericalSample, sample_uniform, save_csv
+from sobotest.harness import PowerTable, parse_weights
+from sobotest.rotsym import SphericalSample, load_csv, sample_uniform, save_csv
+from sobotest.sobolev import stat_harmonic
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -95,8 +97,8 @@ def test_test_alpha_and_weights(tmp_path, capsys):
 
 
 def test_multi_term_p_value_in_the_deep_tail(tmp_path, capsys):
-    # the p = 2 law of 1,0.5,0.25 is a sum of exponentials, whose closed-form
-    # tail at this statistic is 8.848314643532757e-63
+    # the p = 2 law of 1,0.5,0.25 is a sum of exponentials: the p-value is
+    # its closed-form tail at the statistic of the simulated sample (near 1e-62)
     sample = tmp_path / "c.csv"
     code, _, _ = run(capsys, "simulate", "--p", "2", "--n", "500", "--kappa", "0.4",
                      "--f", "cauchy", "--seed", "0", "--out", str(sample))
@@ -104,7 +106,30 @@ def test_multi_term_p_value_in_the_deep_tail(tmp_path, capsys):
     code, out, _ = run(capsys, "test", str(sample), "--weights", "1,0.5,0.25")
     assert code == 0
     record = dict(ln.split("=", 1) for ln in out.splitlines())
-    assert float(record["p_value"]) == pytest.approx(8.848314643532757e-63, rel=1e-10, abs=0.0)
+    stat = stat_harmonic(load_csv(sample), parse_weights("1,0.5,0.25"))
+    want = exponential_sum_sf(stat, (1.0, 0.25, 0.0625))
+    assert want < 1e-50
+    assert float(record["p_value"]) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("weight", ["1e-60", "1e150", "1e-150"])
+def test_one_weight_at_any_scale_has_the_p_value_of_weight_1(tmp_path, capsys, weight):
+    # a common factor on the weights scales the statistic and the critical
+    # value together and changes no p-value
+    sample = tmp_path / "v.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "200", "--kappa", "0.2", "--seed", "3",
+        "--out", str(sample))
+    records = []
+    for w in ("1", weight):
+        code, out, _ = run(capsys, "test", str(sample), "--weights", w)
+        assert code == 0
+        records.append(dict(ln.split("=", 1) for ln in out.splitlines()))
+    unit, scaled = records
+    v2 = float(weight) ** 2
+    for key in ("statistic", "critical_value"):
+        assert float(scaled[key]) == pytest.approx(v2 * float(unit[key]), rel=1e-9)
+    assert float(scaled["p_value"]) == pytest.approx(float(unit["p_value"]), rel=1e-11)
+    assert scaled["reject"] == unit["reject"]
 
 
 # ------------------------------------------------- power-curve, asymptotic

@@ -384,6 +384,8 @@ KS_CASES = [(p, name, kappa)
             for name in ("vmf", "watson", "power3", "cauchy")
             for kappa in ((0.0, 0.01, 0.45) if name == "cauchy"
                           else (0.0, 0.01, 1.0, 10.0, 100.0, 800.0))]
+# a concentrated law at p = 3, a mild one at p = 20, and the cauchy positivity limit
+KS_CASES += [(3, "vmf", 30.0), (20, "vmf", 0.9), (3, "cauchy", 0.4999999), (20, "cauchy", 0.4999)]
 
 
 @pytest.mark.parametrize("p,name,kappa", KS_CASES)
@@ -410,39 +412,6 @@ def test_table_kolmogorov_distance(p, name, kappa):
     assert np.max(np.abs(sin - np.sin(phi))) <= 2.0 * _EPS
     assert np.all(np.diff(phi) >= -1e-12)
     assert np.max(np.abs(_quad_cdf_phi(p, kappa, name, phi) - u)) <= 1e-7
-
-
-@pytest.mark.parametrize("p,kappa", [(3, 30.0), (20, 0.9)])
-def test_split_cells_keep_the_parent_law(monkeypatch, p, kappa):
-    # cells the refinement leaves wider than pi/128 are cut into equal
-    # pieces of the same linear density, with no new density evaluation.
-    # The unsplit table (a cap above pi) has the parent cells: their edges
-    # keep their CDF values, and within them phi(u) is the parent's
-    # closed-form inversion within 4 eps of phi, plus 4 eps of u carried
-    # through the parent's dphi/du (the pieces' CDF values round to u's
-    # own spacing, which near u = 1 spans much of a tail cell)
-    table = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf()).table
-    monkeypatch.setattr(rotsym, "_CELL_MAX", 4.0)
-    parent = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf()).table
-    pieces = np.ceil(parent.width / (math.pi / 128 + np.spacing(math.pi))).astype(int)
-    assert pieces.max() > 1 and table.width.size == pieces.sum()
-    first = np.cumsum(pieces) - pieces
-    np.testing.assert_array_equal(table.left[first], parent.left)
-    np.testing.assert_array_equal(table.cdf[first], parent.cdf[:-1])
-    assert table.cdf[-1] == parent.cdf[-1] == 1.0
-    wide = np.flatnonzero(pieces > 1)
-    lo, mass = parent.cdf[wide], np.diff(parent.cdf)[wide]
-    u = np.concatenate([(lo[:, None] + mass[:, None] * np.random.default_rng(33).random(
-        (wide.size, 2000))).ravel(), table.cdf[:-1]])
-    u = u[u < 1.0]
-    j, d = parent._locate(u)
-    inside = np.isin(j, wide)
-    u, j, d = u[inside], j[inside], d[inside]
-    k, e = table._locate(u)
-    phi, want = table.left[k] + e, parent.left[j] + d
-    tilt = 1.0 - parent.lo[j]
-    slope = parent.width[j] / (np.diff(parent.cdf)[j] * (1.0 - tilt + 2.0 * tilt * d / parent.width[j]))
-    assert np.all(np.abs(phi - want) <= 4.0 * _EPS * (want + u * slope))
 
 
 def test_rotate_against_longdouble():

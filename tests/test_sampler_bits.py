@@ -13,7 +13,7 @@ moves its digest, even when no decision moves.  It is written by
     PYTHONPATH=src python3 tests/test_sampler_bits.py --write
 
 which prints every field it moves as `label.field: old -> new`, the list
-that CHANGES.md takes.
+that CHANGES.md takes, and ends with the count of moved fields per kind.
 """
 
 import hashlib
@@ -72,12 +72,15 @@ def _write() -> None:
         table.update(_digests(*cfg))
     GOLDEN.write_text(json.dumps({"stream_version": STREAM_VERSION, "digests": table},
                                  indent=1, sort_keys=True) + "\n")
+    moved = dict.fromkeys(["points"] + [f"stat_{k}" for k in range(1, 5)], 0)
     for label in sorted(old | table):
         before, after = old.get(label, {}), table.get(label, {})
         for field in sorted(before | after):
             if before.get(field) != after.get(field):
                 print(f"{label}.{field}: {before.get(field)} -> {after.get(field)}")
+                moved[field] += 1
     print(f"wrote {GOLDEN}")
+    print("moved: " + ", ".join(f"{field} {count}" for field, count in moved.items()))
 
 
 if __name__ == "__main__":

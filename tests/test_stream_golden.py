@@ -20,7 +20,11 @@ cells at most pi/128 wide with shorter angle-addition polynomials, a
 p >= 4, samples stored as coordinate rows, and degree 3 from the
 traceless third-moment tensor; points and statistics move by rounding
 (points within 4 eps), no golden row moved; in sampler_bits.json every
-`points` digest and 92 of the 128 `stat_k` fields moved.
+`points` digest and 92 of the 128 `stat_k` fields moved.  Version 8:
+the sampler's table starts from 128 equal cells at most pi/128 wide and
+keeps the cells its refinement makes, with no later split; points move
+by up to 1.7e-7 in sampler_bits.json's configs, no golden row moved; there
+every `points` digest and all 128 `stat_k` fields moved.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -50,7 +54,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 7
+FIXTURE_STREAM_VERSION = 8
 
 _README_GRID = dict(
     p=3,
