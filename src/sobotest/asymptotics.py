@@ -480,12 +480,24 @@ class MixtureLaw:
             shift = x - k1 + dx
             step = min(c + shift / k2, 0.5 * (c + self._cut)) - c
             if dx * dx <= 1e-14 * k2 or step == 0.0 or x + dx == x:
-                return (x + dx) * self._unit, err + alpha * dx * dx / k2
+                if math.isinf(point := (x + dx) * self._unit):
+                    raise ArithmeticError(f"upper-{alpha} point {point!r} past the largest double")
+                return point, err + alpha * dx * dx / k2
             if shift * shift <= k2 and (x + dx < self._mean) == (k1 < self._mean):
                 x += dx
             else:
                 c, at = c + step, None
         raise ArithmeticError(f"no upper-{alpha} point found")
+
+
+def _threshold_terms(p: int, f: AngularFunction, tau: float, report: ThresholdReport,
+                     active: list, null: tuple) -> tuple:
+    """The null terms, each of the active degrees from k_dagger to k_star of k_star's
+    parity with its delayed-case noncentrality at tau on the threshold rate."""
+    ks, kd = report.k_star, report.k_dagger
+    return tuple((v2, df, noncentrality_delayed(p, k, ks, tau, f)
+                  if kd <= k <= ks and (ks - k) % 2 == 0 else 0.0)
+                 for k, (v2, df, _) in zip(active, null))
 
 
 def limit_law(weights: WeightSequence, p: int,
@@ -498,9 +510,9 @@ def limit_law(weights: WeightSequence, p: int,
     per active degree.  Given (f, tau, rate_exponent), the mixture under
     kappa_n = n^(-rate_exponent) tau: degrees between k_dagger and k_star
     of the k_star parity pick up the delayed-case noncentrality when the
-    rate sits exactly at the threshold 1/(2 k_star); faster-decaying rates
-    leave every term central; slower ones have no nondegenerate limit.
-    Evaluated deterministically, with no draws (see MixtureLaw).
+    rate sits exactly at the threshold 1/(2 k_star), as in power_curve;
+    faster-decaying rates leave every term central; slower ones have no
+    nondegenerate limit.  Evaluated deterministically (see MixtureLaw).
     """
     given = (f is not None, tau is not None, rate_exponent is not None)
     if any(given) and not all(given):
@@ -509,8 +521,7 @@ def limit_law(weights: WeightSequence, p: int,
         _check_tau(tau)
     if rate_exponent is not None and rate_exponent <= 0.0:
         raise ValueError(f"rate exponent must be > 0, got {rate_exponent}")
-    active = weights.active_degrees(p)
-    noncentral = {k: 0.0 for k in active}
+    null = weights.null_terms(p)
     if all(given) and tau > 0.0:
         report = classify_threshold(weights, f, q)
         if report.case != "blind":
@@ -521,13 +532,9 @@ def limit_law(weights: WeightSequence, p: int,
                     f"detection threshold {report.rate_string()}; the statistic "
                     "diverges and has no nondegenerate limit")
             if abs(rate_exponent - threshold) <= 1e-9 * threshold:
-                for k in active:
-                    if (report.k_dagger <= k <= report.k_star
-                            and (report.k_star - k) % 2 == 0):
-                        noncentral[k] = noncentrality_delayed(
-                            p, k, report.k_star, tau, f)
-    terms = [(v2, df, noncentral[k]) for k, (v2, df, _) in zip(active, weights.null_terms(p))]
-    return MixtureLaw(terms)
+                return MixtureLaw(_threshold_terms(p, f, tau, report,
+                                                   weights.active_degrees(p), null))
+    return MixtureLaw(null)
 
 
 @dataclass(frozen=True)
@@ -544,8 +551,9 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     """P[noncentral mixture > null upper-alpha point] at the threshold rate
     of the (weights, f) pair, at each tau of a grid, with the law's error
     bound as `se`; exactly alpha with the trivial flag when the
-    classification is blind.  One null critical value serves the grid; at
-    tau = 0 the law is the null law: the power is alpha, `se` the critical value's."""
+    classification is blind.  One classification and one null critical
+    value serve the grid; a tau whose limit_law terms are all central
+    (tau = 0) builds no law: the power is alpha, `se` the critical value's."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     taus = list(taus)
@@ -554,12 +562,12 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     report = classify_threshold(weights, f, q)
     if report.case == "blind":
         return [AsymptoticPower(alpha, 0.0, True) for _ in taus]
-    null = limit_law(weights, p, q=q)
-    crit, crit_se = null.quantile(alpha)
+    active, null = weights.active_degrees(p), weights.null_terms(p)
+    crit, crit_se = MixtureLaw(null).quantile(alpha)
     rows = []
     for tau in taus:
-        alt = limit_law(weights, p, f, tau, report.rate_exponent, q=q)
-        power, se = (alpha, crit_se) if alt.terms == null.terms else alt.tail(crit)
+        terms = _threshold_terms(p, f, tau, report, active, null)
+        power, se = (alpha, crit_se) if terms == null else MixtureLaw(terms).tail(crit)
         rows.append(AsymptoticPower(power, se, False))
     return rows
 

@@ -13,6 +13,7 @@ orthonormal basis over row slices, so memory does not grow with n."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -101,9 +102,9 @@ class WeightSequence:
         if k < 1:
             raise ValueError(f"degree must be >= 1, got {k}")
         v = float(self._rule(k))
-        # the weights enter squared: v^2 must neither overflow nor underflow to 0
-        if not (math.isfinite(v * v) and (v == 0.0 or v * v > 0.0)):
-            raise ValueError(f"weight {v!r} must be 0 or have a finite, nonzero square")
+        # the weights enter squared: v^2 must neither overflow nor leave the normal doubles
+        if not (math.isfinite(v * v) and (v == 0.0 or v * v >= sys.float_info.min)):
+            raise ValueError(f"weight {v!r} must be 0 or have a square among the normal doubles")
         return v
 
     @property
@@ -374,6 +375,8 @@ def run_test(sample: SphericalSample, weights: WeightSequence, alpha: float,
     if law.terms != weights.null_terms(sample.p):
         raise ValueError(f"law is not the null law of the weight sequence at p={sample.p}")
     stat = stat_harmonic(sample, weights)
+    if not math.isfinite(stat):
+        raise ArithmeticError(f"statistic {stat!r} is not finite")
     crit, _ = law.quantile(alpha)
     pval, pval_se = law.tail(stat)
     return TestResult(

@@ -999,6 +999,72 @@ def test_power_curve_is_the_tail_of_each_law_at_the_critical_value():
                     assert (row.power, row.se) == law.tail(crit), (p, text, f.name, tau)
 
 
+# (power, se) per tau = 0, 0.7, 1.5, 3.0 at alpha = 0.05, frozen from power_curve as
+# it stood when each tau went through limit_law; the test above compares power_curve
+# with limit_law, which share their terms, so only fixed values catch a change in both
+FROZEN_CURVES = {
+    ("rayleigh", "vmf", 2): [
+        (0.05, 2.26816982618904e-15), (0.06888563403775118, 2.902491726818201e-15),
+        (0.14392072410228476, 4.792570137346392e-15), (0.46042124430645426, 2.875802542164988e-14)],
+    ("bingham", "watson", 3): [
+        (0.05, 3.3441172072304203e-15), (0.050915992364787215, 3.3919101547490135e-15),
+        (0.07047707140872278, 4.380886031104216e-15), (0.5136918224093683, 3.5885622841539104e-14)],
+    ("3-test", "vmf", 10): [
+        (0.05, 4.7957871135400215e-14), (0.05000004638126019, 4.795788958604039e-14),
+        (0.05000449071976804, 4.796195642691024e-14), (0.0502880001455518, 4.822134946468575e-14)],
+    ("1,0.5,0.6", "power_3", 3): [
+        (0.05, 5.525099499920238e-15), (0.05076292603940265, 5.509015335745544e-15),
+        (0.13690356579772842, 1.2949063857721422e-14), (0.999999999998969, 2.220446053070344e-16)],
+    # delayed: k_star = 6
+    ("bingham", "power_3", 20): [
+        (0.05, 4.775722755807596e-14), (0.050000000412775844, 4.775720383711203e-14),
+        (0.050003869416705315, 4.7760729017361615e-14), (0.0677463676036069, 6.381084005606118e-14)],
+    ("2^-k", "vmf", 3): [
+        (0.05, 3.290133485605227e-14), (0.059460466090508854, 3.9124720215365045e-14),
+        (0.09653823477188513, 6.199330867095284e-14), (0.26788702546509763, 1.6934097452535011e-13)],
+}
+
+
+@pytest.mark.parametrize("text, f, p", list(FROZEN_CURVES), ids=lambda v: str(v))
+def test_power_curve_frozen_values(text, f, p):
+    if text == "2^-k":
+        weights = WeightSequence.from_rule(lambda k: 2.0 ** (-k))
+    else:
+        weights = parse_weights(text)
+    rows = power_curve(weights, p, BUILTINS[f], [0.0, 0.7, 1.5, 3.0], 0.05)
+    assert [(row.power, row.se) for row in rows] == FROZEN_CURVES[text, f, p]
+
+
+def test_power_curve_classifies_once_and_builds_one_law_per_noncentral_tau(monkeypatch):
+    # the null law gives the critical value and serves tau = 0; every tau > 0
+    # builds its own law, and a blind pair builds none
+    counts = {}
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(asymptotics, "classify_threshold",
+                        counted("classify", asymptotics.classify_threshold))
+    monkeypatch.setattr(asymptotics, "MixtureLaw", counted("law", asymptotics.MixtureLaw))
+    taus = [0.5 * i for i in range(13)]
+    for weights, f, q, want in [(BINGHAM, watson(), 12, {"classify": 1, "law": 13}),
+                                (THREE, vmf(), 12, {"classify": 1, "law": 13}),
+                                (RAYLEIGH, watson(), 8, {"classify": 1})]:
+        counts.clear()
+        assert len(power_curve(weights, 3, f, taus, 0.05, q=q)) == 13
+        assert counts == want, weights.name
+
+
+def test_quantile_past_the_largest_double_is_a_numerical_error():
+    # the point 7.81 * 2^1023 of one chi2(3) term overflows: no infinite critical value
+    with pytest.raises(ArithmeticError, match="past the largest double"):
+        MixtureLaw([(2.0**1023, 3, 0.0)]).quantile(0.05)
+    assert MixtureLaw([(2.0**1020, 3, 0.0)]).quantile(0.05)[0] < math.inf
+
+
 def test_quantile_tail_round_trip():
     # the tail at each point agrees with alpha within both errors, also
     # where the search's first contour sits on the other side of the mean

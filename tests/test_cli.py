@@ -132,6 +132,21 @@ def test_one_weight_at_any_scale_has_the_p_value_of_weight_1(tmp_path, capsys, w
     assert scaled["reject"] == unit["reject"]
 
 
+@pytest.mark.parametrize("weight, code, message", [
+    ("1e154", 3, "statistic inf is not finite"),
+    ("1e-160", 2, "weight 1e-160 must be 0"),
+    ("3e-162", 2, "weight 3e-162 must be 0")])
+def test_weight_outside_the_double_range_is_an_error(tmp_path, capsys, weight, code, message):
+    # 1e154 squared overflows the statistic; the squares of 1e-160 and
+    # 3e-162 fall below the normal doubles, where they lose digits
+    sample = tmp_path / "v.csv"
+    run(capsys, "simulate", "--p", "3", "--n", "200", "--kappa", "0.2", "--seed", "3",
+        "--out", str(sample))
+    got, out, err = run(capsys, "test", str(sample), "--weights", weight)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 # ------------------------------------------------- power-curve, asymptotic
 
 def test_power_curve_from_config(tmp_path, capsys):

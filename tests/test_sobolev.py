@@ -92,9 +92,10 @@ def test_weight_sequence_validation():
     with pytest.raises(ValueError):
         WeightSequence.delta(1).weight(0)
     # the weights enter squared: a NaN or infinite one, one whose square
-    # overflows (1e200) or one whose square underflows to 0 (1e-200) is
-    # named in the error, before any law or statistic sees it
-    for v in (math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-200, 5e-324):
+    # overflows (1e200), is subnormal and keeps only a few digits (1e-160)
+    # or underflows to 0 (1e-200) is named in the error, before any law or
+    # statistic sees it
+    for v in (math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-160, 1e-200, 5e-324):
         with pytest.raises(ValueError, match=re.escape(repr(v))):
             WeightSequence.finite([1.0, v])
     w = WeightSequence.finite([1e-150, 0.0, -0.0, 1e150])
