@@ -36,7 +36,6 @@ from .rotsym import (
     load_csv,
     power,
     sample_rotsym,
-    sample_uniform,
     save_csv,
     vmf,
     watson,
@@ -94,7 +93,6 @@ __all__ = [
     "run_power_experiment",
     "run_test",
     "sample_rotsym",
-    "sample_uniform",
     "save_csv",
     "stat_harmonic",
     "stat_kernel",

@@ -562,8 +562,14 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     report = classify_threshold(weights, f, q)
     if report.case == "blind":
         return [AsymptoticPower(alpha, 0.0, True) for _ in taus]
+    return _threshold_powers(weights, p, f, taus, alpha, report,
+                             *MixtureLaw(weights.null_terms(p)).quantile(alpha))
+
+
+def _threshold_powers(weights: WeightSequence, p: int, f: AngularFunction, taus, alpha: float,
+                      report: ThresholdReport, crit: float, crit_se: float) -> list:
+    """power_curve's rows past a classification that is not blind and the null quantile."""
     active, null = weights.active_degrees(p), weights.null_terms(p)
-    crit, crit_se = MixtureLaw(null).quantile(alpha)
     rows = []
     for tau in taus:
         terms = _threshold_terms(p, f, tau, report, active, null)

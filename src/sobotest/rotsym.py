@@ -31,7 +31,7 @@ from . import rng
 
 __all__ = [
     "AngularFunction", "vmf", "watson", "power", "cauchy", "custom", "RotSymConfig",
-    "SphericalSample", "sample_uniform", "sample_rotsym", "save_csv", "load_csv",
+    "SphericalSample", "sample_rotsym", "save_csv", "load_csv",
 ]
 
 _NORM_TOL = 1e-8
@@ -321,13 +321,6 @@ class SphericalSample:
         rows = np.ascontiguousarray(points.T)
         rows.setflags(write=False)
         return cls(rows.T)
-
-
-def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
-    """n independent uniform draws on the sphere in R^p, from the
-    counter-based stream (seed, replicate): the kappa = 0 draw of
-    sample_rotsym."""
-    return sample_rotsym(RotSymConfig(p, 0.0, vmf(), seed), n, replicate)
 
 
 def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> SphericalSample:

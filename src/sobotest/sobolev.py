@@ -42,6 +42,7 @@ _TRUNC_K_MAX = 600
 # degree 3's P_1 term is inside its P_3, see _centered_power_sums); higher degrees are
 # summed from the columns of the harmonic basis
 _POWER_SUM_ORDERS = {1: (1,), 2: (2,), 3: (3,), 4: (4, 2)}
+_GEMM_ROWS, _GEMM_SIZE = 24, 10**6  # _gram's gemm range: below 24 rows, 1e6 multiply-adds
 # entries per block of points of the pairwise-product matrix W; a slice
 # of the degree k >= 5 basis has at most 4 times as many
 _FEATURE_BLOCK = 1 << 20
@@ -77,7 +78,7 @@ class WeightSequence:
             rule = partial(_entry, values)
         self._rule = rule
         self.name = name
-        self._trunc_cache = {}
+        self._trunc_cache, self._square_cache = {}, {}
         # a vector is checked once, in full; a rule as its degrees are read
         if self._last is not None and not any(
                 [self.weight(k) for k in range(1, self._last + 1)]):
@@ -157,13 +158,20 @@ class WeightSequence:
 
     def active_degrees(self, p: int) -> list:
         """Degrees entering the statistic: the support through k_trunc."""
-        return self.support_through(self.truncation(p).k_trunc)
+        return [k for k, _ in self._squares(p)[0]]
+
+    def _squares(self, p: int) -> tuple:
+        """(k, v_k^2) per active degree, and null_terms(p), computed once per p."""
+        if p not in self._square_cache:
+            degrees = self.support_through(self.truncation(p).k_trunc)
+            sq = tuple((k, self.weight(k) ** 2) for k in degrees)
+            self._square_cache[p] = sq, tuple((v2, harmonic_dim(p, k), 0.0) for k, v2 in sq)
+        return self._square_cache[p]
 
     def null_terms(self, p: int) -> tuple:
         """(v_k^2, d_{p,k}, 0.0) per active degree: the central chi-square
         terms of the statistic's null limit law."""
-        return tuple((self.weight(k) ** 2, harmonic_dim(p, k), 0.0)
-                     for k in self.active_degrees(p))
+        return self._squares(p)[1]
 
 
 def _kernel_weighted_sum(p: int, pairs, s: np.ndarray) -> np.ndarray:
@@ -182,7 +190,7 @@ def stat_kernel(sample: SphericalSample, weights: WeightSequence) -> float:
     diagonal included.  O(n^2) pairwise products, evaluated in row blocks."""
     X = sample.points
     n = sample.n
-    pairs = [(k, weights.weight(k) ** 2) for k in weights.active_degrees(sample.p)]
+    pairs = weights._squares(sample.p)[0]
     total = 0.0
     block = max(1, min(n, 2_000_000 // max(n, 1)))
     for i0 in range(0, n, block):
@@ -202,22 +210,30 @@ def _kernel_monomials(p: int, k: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _third_layout(p: int) -> tuple:
-    """The distinct third-moment entries of _centered_power_sums, rows c, columns
-    a <= b as in W: the weight of each square, its orderings halved where a < b for
-    W's sqrt(2), so 3 for c < a; 0 for c > a.  Then the flat indices of the entries
-    c <= a that H shifts, and per index the coordinate of t and the multiple of
-    t / (p + 2) it loses: t_c from H_caa, 3 t_a from H_aaa, sqrt(2) t_b (W's scale)
-    from H_aab, a < b."""
+def _layout(p: int) -> tuple:
+    """What _centered_power_sums reads of p: row diag[a] + b - a of W' is x_a x_b, a <= b
+    (diag[p] = width), pair the square of its sqrt(2), 2 where a < b.  Per third-moment
+    entry, rows c, columns a <= b as in W', the orderings weighting its square (0 for c > a);
+    the flat indices H shifts, with the t_j and multiple of t_j / (p + 2) each loses (t_c from
+    H_caa, 3 t_a from H_aaa, t_b from H_aab, a < b); the chunks of a for steps 2 and p."""
+    diag = [a * p - a * (a - 1) // 2 for a in range(p + 1)]
     c, (a, b) = np.arange(p)[:, None], np.triu_indices(p)
-    weights = np.where(c < a, 3.0, np.where(c == a, np.where(a == b, 1.0, 1.5), 0.0))
+    pair = np.where(a == b, 1.0, 2.0)
+    orderings = np.where(c < a, 3.0 * pair, np.where(c == a, np.where(a == b, 1.0, 3.0), 0.0))
     at = np.flatnonzero((c <= a) & ((a == b) | (c == a)))
-    source = np.broadcast_to(np.where(a == b, c, b), weights.shape).ravel()[at]
-    factor = np.where(c == a, np.where(a == b, 3.0, math.sqrt(2.0)), 1.0).ravel()[at]
-    return weights, at, source, factor / (p + 2)
+    source = np.broadcast_to(np.where(a == b, c, b), orderings.shape).ravel()[at]
+    factor = np.where((c == a) & (a == b), 3.0, 1.0).ravel()[at]
+    chunks = {step: [(a0, min(a0 + step, p)) for a0 in range(0, p, step)] for step in (2, p)}
+    return diag, pair, orderings, at, source, factor / (p + 2), chunks
 
 
-def _centered_power_sums(XT: np.ndarray, orders: set) -> dict:
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A A'.  numpy sends A @ A.T to syrk; gemm against a copy of A is faster in the range
+    of OpenBLAS's small-matrix gemm kernel (3 x 5000: 10 against 30 us, copy included)."""
+    return A @ (A.copy() if len(A) < _GEMM_ROWS and len(A) * A.size <= _GEMM_SIZE else A).T
+
+
+def _centered_power_sums(XT: np.ndarray, orders: frozenset) -> dict:
     """P_m = S_m - n^2 E_0[s^m] for each m in orders (1 <= m <= 4), where
     E_0[s^m] is the m-th moment of u'v for independent uniform u, v, with
     P_3 - 3 P_1 / (p + 2) in place of P_3.  XT is the C-contiguous (p, n)
@@ -235,15 +251,19 @@ def _centered_power_sums(XT: np.ndarray, orders: set) -> dict:
     sqrt(2), so w_i'w_j = (u_i'u_j)^2; W_c is W with 1/p taken from its
     diagonal columns, the coordinates of u_i u_i' - I/p; and n Sigma, with
     Sigma = 2/(p(p+2)) (I - e e'/p) for the indicator e of the diagonal
-    columns, is the null mean of W_c'W_c.  Degree 3 is a_{3,3} P_3 + a_{3,1} P_1
-    with a_{3,1} = -3 a_{3,3} / (p + 2) for every p, which is a_{3,3} ||H||^2 for the
-    traceless H_abc = T_abc - (delta_ab t_c + delta_ac t_b + delta_bc t_a) / (p + 2)
+    columns, is the null mean of W_c'W_c.  W' is formed without the sqrt(2), one multiply
+    x_a x_(a..p-1) per a; its square, pair = 2, weights the squared entries of the p x width
+    and width x width results (unscaled W_c'W_c loses n Sigma_aa / pair_a).  Degree 3 is
+    a_{3,3} P_3 + a_{3,1} P_1 with a_{3,1} = -3 a_{3,3} / (p + 2) for every p, which is
+    a_{3,3} ||H||^2 for the traceless
+    H_abc = T_abc - (delta_ab t_c + delta_ac t_b + delta_bc t_a) / (p + 2)
     (sum_a T_aac = t_c on unit rows): the P_1 term cancels in the entries, not in the
     sum, where a strong mean direction would cost digits.  It weights the square of
     each distinct H_cab, T_cab = sum_i x_ic x_ia x_ib, c <= a <= b, by its orderings:
-    p(p+1)(p+2) n / 6 + about p^2 n / 4 multiply-adds, two a per product
-    (one product where p^2 n < 80000), where ||X'W||_F^2 took p^2(p+1) n / 2.
-    Both accumulate over blocks of columns of XT: memory O(p^4 + block), never O(n p^2)."""
+    p(p+1)(p+2) n / 6 + about p^2 n / 4 multiply-adds, two a per product (one product
+    where p^2 n < 80000), where ||X'W||_F^2 took p^2(p+1) n / 2.
+    Both accumulate over blocks of columns of XT: memory O(p^4 + block), never O(n p^2).
+    XT XT' and W_c'W_c are formed by _gram, gemm or syrk by their size."""
     p, n = XT.shape
     sums = {}
     if orders & {1, 3}:
@@ -251,46 +271,53 @@ def _centered_power_sums(XT: np.ndarray, orders: set) -> dict:
         if 1 in orders:
             sums[1] = float(t @ t)
     if orders & {2, 4}:
-        scatter = XT @ XT.T
-        scatter[np.diag_indices(p)] -= n / p
+        scatter = _gram(XT)
+        scatter.flat[::p + 1] -= n / p
         sums[2] = float(np.sum(scatter * scatter))
     if orders & {3, 4}:
-        width = p * (p + 1) // 2
-        # row diag[a] + b - a of W' holds x_a x_b over the block's points for
-        # the pair a <= b, times sqrt(2) when a < b; diag[p] = width
-        diag = [a * p - a * (a - 1) // 2 for a in range(p + 1)]
+        diag, pair, orderings, at, source, factor, chunks = _layout(p)
+        width = diag[p]
         third = np.zeros((p, width)) if 3 in orders else None
         fourth = np.zeros((width, width)) if 4 in orders else None
         block = max(1, _FEATURE_BLOCK // width)
         # two a per product where a call costs less than the entries c > a it skips
         step = 2 if p * p * min(n, block) >= 80_000 else p
-        chunks = [(a0, min(a0 + step, p)) for a0 in range(0, p, step)]
         # degree 4 keeps all of W' for W_c'W_c; degree 3 alone reuses one chunk's rows
         feat = np.empty((width if fourth is not None else diag[step], min(n, block)))
         for i0 in range(0, n, block):
             xb = XT[:, i0:i0 + block]
             fb = feat[:, :xb.shape[1]]
-            for a0, a1 in chunks:
+            for a0, a1 in chunks[step]:
                 fc = fb[diag[a0]:diag[a1]] if fourth is not None else fb[:diag[a1] - diag[a0]]
                 for a in range(a0, a1):
                     j = diag[a] - diag[a0]
-                    np.multiply(xb[a], xb[a], out=fc[j])
-                    np.multiply(math.sqrt(2.0) * xb[a], xb[a + 1:], out=fc[j + 1:j + p - a])
+                    np.multiply(xb[a], xb[a:], out=fc[j:j + p - a])
                 if third is not None:
                     third[:a1, diag[a0]:diag[a1]] += xb[:a1] @ fc.T
             if fourth is not None:
                 fb[diag[:p]] -= 1.0 / p
-                fourth += fb @ fb.T
+                fourth += _gram(fb)
         if third is not None:
-            weights, at, source, factor = _third_layout(p)
             third.reshape(-1)[at] -= factor * t.take(source)
-            sums[3] = float(np.sum(weights * third * third))
+            sums[3] = float(np.sum(orderings * third * third))
         if fourth is not None:
             shift = 2.0 * n / (p * (p + 2))
-            fourth[np.diag_indices(width)] -= shift
+            fourth.flat[::width + 1] -= shift / pair
             fourth[np.ix_(diag[:p], diag[:p])] += shift / p
-            sums[4] = float(np.sum(fourth * fourth)) + 2.0 / p * sums[2]
+            sums[4] = float(pair @ (fourth * fourth) @ pair) + 2.0 / p * sums[2]
     return sums
+
+
+@lru_cache(maxsize=256)
+def _plan(p: int, squares: tuple) -> tuple:
+    """The power-sum orders, degrees k <= 4 with their (m, a_{k,m}) and degrees k >= 5
+    of a weight list, keyed on values (each sequence's (k, v_k^2)), not on objects."""
+    wanted = {k for pairs in squares for k, _ in pairs}
+    low = sorted(wanted & _POWER_SUM_ORDERS.keys())
+    coeffs = tuple((k, tuple((m, _kernel_monomials(p, k)[m]) for m in _POWER_SUM_ORDERS[k]))
+                   for k in low)
+    orders = frozenset(m for k in low for m in _POWER_SUM_ORDERS[k])
+    return orders, coeffs, tuple(sorted(wanted.difference(low)))
 
 
 def stat_harmonics(sample: SphericalSample, weight_list) -> list:
@@ -307,18 +334,15 @@ def stat_harmonics(sample: SphericalSample, weight_list) -> list:
     bits it has alone, and the same on points in any memory layout."""
     XT = np.ascontiguousarray(sample.points.T)
     p, n = XT.shape
-    degree_lists = [weights.active_degrees(p) for weights in weight_list]
-    wanted = {k for degrees in degree_lists for k in degrees}
-    low = wanted & _POWER_SUM_ORDERS.keys()
-    sums = _centered_power_sums(XT, {m for k in low for m in _POWER_SUM_ORDERS[k]})
-    values = {k: sum(_kernel_monomials(p, k)[m] * sums[m] for m in _POWER_SUM_ORDERS[k])
-              for k in low}
-    for k in wanted - low:
+    squares = tuple(weights._squares(p)[0] for weights in weight_list)
+    orders, coeffs, high = _plan(p, squares)
+    sums = _centered_power_sums(XT, orders)
+    values = {k: sum(a * sums[m] for m, a in terms) for k, terms in coeffs}
+    for k in high:
         rows = max(1, 4 * _FEATURE_BLOCK // harmonic_dim(p, k))
         col = sum(basis_matrix(p, k, XT[:, i:i + rows].T).sum(axis=0) for i in range(0, n, rows))
         values[k] = float(col @ col)
-    return [sum((weights.weight(k) ** 2 * values[k] / n for k in degrees), 0.0)
-            for weights, degrees in zip(weight_list, degree_lists)]
+    return [sum((v2 * values[k] / n for k, v2 in pairs), 0.0) for pairs in squares]
 
 
 def stat_harmonic(sample: SphericalSample, weights: WeightSequence) -> float:

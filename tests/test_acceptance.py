@@ -28,7 +28,7 @@ from sobotest.asymptotics import (
 from sobotest.harness import ExperimentConfig, run_power_experiment
 from sobotest.harmonics import addition_kernel, basis_matrix
 from sobotest.rotsym import cauchy, power, vmf, watson
-from sobotest.rotsym import SphericalSample, sample_uniform
+from sobotest.rotsym import SphericalSample
 from sobotest.sobolev import (
     WeightSequence,
     stat_harmonic,
@@ -41,6 +41,7 @@ from oracles.chi2_series_oracle import noncentral_chi2_sf
 from oracles.quadrature_oracle import gauss_jacobi_rule
 from oracles.rotsym_moments_oracle import t_moment_oracle
 from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
+from oracles.uniform_sample_oracle import sample_uniform
 
 pytestmark = pytest.mark.acceptance
 

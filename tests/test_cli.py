@@ -7,10 +7,11 @@ import pytest
 
 import sobotest.cli as cli_module
 from oracles.chi2_series_oracle import exponential_sum_sf
+from oracles.uniform_sample_oracle import sample_uniform
 from sobotest.asymptotics import MixtureLaw
 from sobotest.cli import cli
 from sobotest.harness import PowerTable, parse_weights
-from sobotest.rotsym import SphericalSample, load_csv, sample_uniform, save_csv
+from sobotest.rotsym import SphericalSample, load_csv, save_csv
 from sobotest.sobolev import stat_harmonic
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

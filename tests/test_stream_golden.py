@@ -24,7 +24,12 @@ traceless third-moment tensor; points and statistics move by rounding
 the sampler's table starts from 128 equal cells at most pi/128 wide and
 keeps the cells its refinement makes, with no later split; points move
 by up to 1.7e-7 in sampler_bits.json's configs, no golden row moved; there
-every `points` digest and all 128 `stat_k` fields moved.
+every `points` digest and all 128 `stat_k` fields moved.  Version 9: the
+degree-2 scatter and the degree-4 Gram by gemm where they are small, and
+W's sqrt(2) applied to the squared entries of the results, not to W;
+points do not move, statistics of degrees 2-4 move by rounding, no golden
+row moved; in sampler_bits.json 25 `stat_2`, 23 `stat_3` and 31 `stat_4`
+of the 32 fields each moved, by at most 2.9e-14 relative.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -34,12 +39,14 @@ evaluator) must leave these files untouched; if a last-bit difference
 flips a decision, that is a stream-contract change and follows the same
 protocol.
 
-Regenerate (only under the protocol above):
+Regenerate (only under the protocol above): bump STREAM_VERSION, run
 
     PYTHONPATH=src python3 tests/test_stream_golden.py --write
 
 which prints every row it moves as `name: old -> new`, the list that
-CHANGES.md takes.
+CHANGES.md takes, then set FIXTURE_STREAM_VERSION to the new version.
+The writer exits non-zero without writing while STREAM_VERSION equals
+FIXTURE_STREAM_VERSION, the version the files were written under.
 """
 
 import sys
@@ -54,7 +61,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 8
+FIXTURE_STREAM_VERSION = 9
 
 _README_GRID = dict(
     p=3,
@@ -106,6 +113,9 @@ def _rows(text: str) -> dict:
 
 
 def _write() -> None:
+    if STREAM_VERSION == FIXTURE_STREAM_VERSION:
+        sys.exit(f"STREAM_VERSION {STREAM_VERSION} is the version of the fixtures: "
+                 "bump it before regenerating them")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, config in CONFIGS.items():
         path = GOLDEN_DIR / f"{name}.csv"
