@@ -72,7 +72,6 @@ class ExpansionSystem:
     E[C_k(t)] before the 1/t^2 normalization).
     """
 
-    p: int
     order: int
     A: np.ndarray
     v: Optional[np.ndarray]
@@ -110,7 +109,7 @@ def expansion_system(p: int, f: AngularFunction, order: int,
             raise ValueError(f"degree must be >= 1, got {k}")
         z = np.array([monomial_to_gegenbauer(p, i)[k] * derivs[i] if i >= k else 0.0
                       for i in range(size)])
-    return ExpansionSystem(p, order, matrix, v, z)
+    return ExpansionSystem(order, matrix, v, z)
 
 
 def expansion_coeffs(p: int, m: int, q: int, f: AngularFunction) -> np.ndarray:
@@ -490,14 +489,14 @@ class MixtureLaw:
         raise ArithmeticError(f"no upper-{alpha} point found")
 
 
-def _threshold_terms(p: int, f: AngularFunction, tau: float, report: ThresholdReport,
-                     active: list, null: tuple) -> tuple:
-    """The null terms, each of the active degrees from k_dagger to k_star of k_star's
+def _threshold_terms(weights: WeightSequence, p: int, f: AngularFunction, tau: float,
+                     report: ThresholdReport) -> tuple:
+    """weights.null_terms(p), each of the active degrees from k_dagger to k_star of k_star's
     parity with its delayed-case noncentrality at tau on the threshold rate."""
     ks, kd = report.k_star, report.k_dagger
     return tuple((v2, df, noncentrality_delayed(p, k, ks, tau, f)
                   if kd <= k <= ks and (ks - k) % 2 == 0 else 0.0)
-                 for k, (v2, df, _) in zip(active, null))
+                 for k, (v2, df, _) in zip(weights.active_degrees(p), weights.null_terms(p)))
 
 
 def limit_law(weights: WeightSequence, p: int,
@@ -532,8 +531,7 @@ def limit_law(weights: WeightSequence, p: int,
                     f"detection threshold {report.rate_string()}; the statistic "
                     "diverges and has no nondegenerate limit")
             if abs(rate_exponent - threshold) <= 1e-9 * threshold:
-                return MixtureLaw(_threshold_terms(p, f, tau, report,
-                                                   weights.active_degrees(p), null))
+                return MixtureLaw(_threshold_terms(weights, p, f, tau, report))
     return MixtureLaw(null)
 
 
@@ -569,10 +567,10 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
 def _threshold_powers(weights: WeightSequence, p: int, f: AngularFunction, taus, alpha: float,
                       report: ThresholdReport, crit: float, crit_se: float) -> list:
     """power_curve's rows past a classification that is not blind and the null quantile."""
-    active, null = weights.active_degrees(p), weights.null_terms(p)
+    null = weights.null_terms(p)
     rows = []
     for tau in taus:
-        terms = _threshold_terms(p, f, tau, report, active, null)
+        terms = _threshold_terms(weights, p, f, tau, report)
         power, se = (alpha, crit_se) if terms == null else MixtureLaw(terms).tail(crit)
         rows.append(AsymptoticPower(power, se, False))
     return rows

@@ -100,8 +100,7 @@ class ExperimentConfig:
             raise ValueError(f"b must be >= 1, got {self.b}")
         if not self.tests:
             raise ValueError("tests must be nonempty")
-        for t in self.tests:
-            parse_weights(t)
+        labels = [parse_weights(t).name for t in self.tests]
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError(f"sample sizes must be >= 1, got {self.n_list}")
         if not self.rate_exponents or any(e < 1 for e in self.rate_exponents):
@@ -109,6 +108,12 @@ class ExperimentConfig:
                 f"rate exponents must be >= 1, got {self.rate_exponents}")
         if not self.tau_grid or not all(0.0 <= t < math.inf for t in self.tau_grid):
             raise ValueError(f"tau grid must be finite and >= 0, got {self.tau_grid}")
+        # a repeated value would put two rows on one cell, for a tau with two frequencies
+        # (its index keys the cell's stream)
+        for what, values in (("test label", labels), ("sample size", self.n_list),
+                             ("rate exponent", self.rate_exponents), ("tau", self.tau_grid)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"each {what} must appear once, got {list(values)}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -64,15 +64,13 @@ del _steps
 class AngularFunction:
     """Scalar profile s |-> f(s) with f(0) = 1, applied to kappa * u'theta.
 
-    deriv0(k) returns the exact k-th derivative at 0, an int or a float;
-    max_order bounds the orders available (None = all); log_fn = log f
-    (None: the log of fn)."""
+    deriv0(k) returns the exact k-th derivative at 0, an int or a float,
+    or raises ValueError past the orders it knows; log_fn = log f."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     deriv0: Callable[[int], float]
-    max_order: Optional[int] = None
-    log_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    log_fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
@@ -80,15 +78,11 @@ class AngularFunction:
     def log(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.log_fn(s) if self.log_fn is not None else np.log(self.fn(s))
+            return self.log_fn(s)
 
     def derivative_at_zero(self, k: int) -> float:
         if k < 0:
             raise ValueError(f"derivative order must be >= 0, got {k}")
-        if self.max_order is not None and k > self.max_order:
-            raise ValueError(
-                f"angular function '{self.name}' provides derivatives only "
-                f"up to order {self.max_order}, requested {k}")
         value = self.deriv0(k)
         try:
             return float(value)
@@ -112,8 +106,7 @@ def power(b: int) -> AngularFunction:
         raise ValueError(f"exponent b must be a positive integer, got {b}")
     b = int(b)
     name = "vmf" if b == 1 else ("watson" if b == 2 else f"power_{b}")
-    return AngularFunction(name, lambda s: np.exp(s**b), _power_deriv0(b),
-                           log_fn=lambda s: s**b)
+    return AngularFunction(name, lambda s: np.exp(s**b), _power_deriv0(b), lambda s: s**b)
 
 
 def watson() -> AngularFunction:
@@ -125,8 +118,7 @@ def cauchy() -> AngularFunction:
     """Profile 1/(1 + 2s); requires kappa < 1/2 for positivity on [-1, 1].
     f^(k)(0) = (-2)^k k!."""
     return AngularFunction("cauchy", lambda s: 1.0 / (1.0 + 2.0 * s),
-                           lambda k: (-2) ** k * math.factorial(k),
-                           log_fn=lambda s: -np.log1p(2.0 * s))
+                           lambda k: (-2) ** k * math.factorial(k), lambda s: -np.log1p(2.0 * s))
 
 
 def custom(fn, derivs, name: str = "custom") -> AngularFunction:
@@ -137,9 +129,14 @@ def custom(fn, derivs, name: str = "custom") -> AngularFunction:
         raise ValueError("custom angular functions must satisfy f(0) = 1")
     if abs(float(fn(np.asarray(0.0))) - 1.0) > 1e-12:
         raise ValueError("fn(0) must equal 1")
-    return AngularFunction(
-        name, lambda s: np.asarray(fn(s), dtype=float),
-        lambda k: derivs[k], max_order=len(derivs) - 1)
+
+    def deriv0(k):
+        if k >= len(derivs):
+            raise ValueError(f"angular function '{name}' provides derivatives only "
+                             f"up to order {len(derivs) - 1}, requested {k}")
+        return derivs[k]
+    return AngularFunction(name, lambda s: np.asarray(fn(s), dtype=float), deriv0,
+                           lambda s: np.log(np.asarray(fn(s), dtype=float)))
 
 
 def _cell_masses(logs, width, shift):

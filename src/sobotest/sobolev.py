@@ -55,7 +55,6 @@ class TruncationInfo:
 
     k_trunc: int
     tail_mass: float
-    total_mass: float
 
 
 def _entry(values: tuple, k: int) -> float:
@@ -64,9 +63,10 @@ def _entry(values: tuple, k: int) -> float:
 
 
 class WeightSequence:
-    """Nonnegative weights v_k over harmonic degrees k >= 1, given by a rule
-    k -> v_k with square-summable mass v_k^2 d_{p,k}.  A finite vector is
-    the rule that reads it, 0 past its last entry (degree _last)."""
+    """Real weights v_k over harmonic degrees k >= 1, given by a rule k -> v_k
+    with square-summable mass v_k^2 d_{p,k}; only v_k^2 enters, so v and -v
+    are one test.  A finite vector is the rule that reads it, 0 past its
+    last entry (degree _last)."""
 
     def __init__(self, values=None, rule=None, name: Optional[str] = None):
         if (values is None) == (rule is None):
@@ -78,7 +78,7 @@ class WeightSequence:
             rule = partial(_entry, values)
         self._rule = rule
         self.name = name
-        self._trunc_cache, self._square_cache = {}, {}
+        self._cache = {}  # p -> _per_p(p)
         # a vector is checked once, in full; a rule as its degrees are read
         if self._last is not None and not any(
                 [self.weight(k) for k in range(1, self._last + 1)]):
@@ -129,15 +129,11 @@ class WeightSequence:
         """Choose k_trunc so the neglected mass is below 1e-6 of the total;
         geometric tail bound from block ratios.  Raises if the mass does
         not decay.  A finite sequence stops at K_v with no tail."""
-        if p not in self._trunc_cache:
-            self._trunc_cache[p] = self._truncate(p)
-        return self._trunc_cache[p]
+        return self._per_p(p)[0]
 
     def _truncate(self, p: int) -> TruncationInfo:
         if self._last is not None:
-            total = sum(self.weight(k) ** 2 * harmonic_dim(p, k)
-                        for k in range(1, self._last + 1))
-            return TruncationInfo(self.K_v, 0.0, total)
+            return TruncationInfo(self.K_v, 0.0)
         block = 4
         blocks = []
         total = 0.0
@@ -151,62 +147,47 @@ class WeightSequence:
                 if r < 0.9:
                     tail = blocks[-1] * r / (1.0 - r)
                     if tail < _TRUNC_REL_TOL * total:
-                        return TruncationInfo(start + block - 1, tail, total)
+                        return TruncationInfo(start + block - 1, tail)
         raise ValueError(
             "weight sequence mass v_k^2 d_{p,k} does not decay fast enough "
             f"to truncate below {_TRUNC_K_MAX} degrees")
 
     def active_degrees(self, p: int) -> list:
         """Degrees entering the statistic: the support through k_trunc."""
-        return [k for k, _ in self._squares(p)[0]]
-
-    def _squares(self, p: int) -> tuple:
-        """(k, v_k^2) per active degree, and null_terms(p), computed once per p."""
-        if p not in self._square_cache:
-            degrees = self.support_through(self.truncation(p).k_trunc)
-            sq = tuple((k, self.weight(k) ** 2) for k in degrees)
-            self._square_cache[p] = sq, tuple((v2, harmonic_dim(p, k), 0.0) for k, v2 in sq)
-        return self._square_cache[p]
+        return [k for k, _ in self._per_p(p)[1]]
 
     def null_terms(self, p: int) -> tuple:
         """(v_k^2, d_{p,k}, 0.0) per active degree: the central chi-square
         terms of the statistic's null limit law."""
-        return self._squares(p)[1]
+        return self._per_p(p)[2]
 
-
-def _kernel_weighted_sum(p: int, pairs, s: np.ndarray) -> np.ndarray:
-    """sum_k v_k^2 h_{p,k}(s) evaluated in one recurrence sweep; pairs is a
-    list of (k, v_k^2) with k >= 1."""
-    want = dict(pairs)
-    acc = np.zeros_like(s)
-    for k, gegen in enumerate(_gegen_sweep(_gegen_index(p), max(want), s)):
-        if k in want:
-            acc += want[k] * _kernel_factor(p, k) * gegen
-    return acc
+    def _per_p(self, p: int) -> tuple:
+        """truncation(p), (k, v_k^2) per active degree and null_terms(p), computed once."""
+        if p not in self._cache:
+            info = self._truncate(p)
+            sq = tuple((k, self.weight(k) ** 2) for k in self.support_through(info.k_trunc))
+            self._cache[p] = info, sq, tuple((v2, harmonic_dim(p, k), 0.0) for k, v2 in sq)
+        return self._cache[p]
 
 
 def stat_kernel(sample: SphericalSample, weights: WeightSequence) -> float:
     """Quadratic-form route: (1/n) sum_{i,j} sum_k v_k^2 h_{p,k}(u_i'u_j),
-    diagonal included.  O(n^2) pairwise products, evaluated in row blocks."""
+    diagonal included.  O(n^2) pairwise products, evaluated in row blocks,
+    every active degree from one recurrence sweep per block."""
     X = sample.points
-    n = sample.n
-    pairs = weights._squares(sample.p)[0]
+    n, p = X.shape
+    want = dict(weights._per_p(p)[1])
     total = 0.0
     block = max(1, min(n, 2_000_000 // max(n, 1)))
     for i0 in range(0, n, block):
         gram = X[i0:i0 + block] @ X.T
         np.clip(gram, -1.0, 1.0, out=gram)
-        total += float(_kernel_weighted_sum(sample.p, pairs, gram).sum())
+        acc = np.zeros_like(gram)
+        for k, gegen in enumerate(_gegen_sweep(_gegen_index(p), max(want), gram)):
+            if k in want:
+                acc += want[k] * _kernel_factor(p, k) * gegen
+        total += float(acc.sum())
     return total / n
-
-
-@lru_cache(maxsize=None)
-def _kernel_monomials(p: int, k: int) -> tuple:
-    """Coefficients a_{k,m}, m = 0..k, of h_{p,k}(s) = sum_m a_{k,m} s^m:
-    the exact Gegenbauer (Chebyshev for p = 2) coefficients times the
-    kernel factor, rounded once."""
-    factor = _kernel_factor(p, k, Fraction(1))
-    return tuple(float(factor * c) for c in _gegen_poly_exact(Fraction(p - 2, 2), k))
 
 
 @lru_cache(maxsize=None)
@@ -311,11 +292,14 @@ def _centered_power_sums(XT: np.ndarray, orders: frozenset) -> dict:
 @lru_cache(maxsize=256)
 def _plan(p: int, squares: tuple) -> tuple:
     """The power-sum orders, degrees k <= 4 with their (m, a_{k,m}) and degrees k >= 5
-    of a weight list, keyed on values (each sequence's (k, v_k^2)), not on objects."""
+    of a weight list, keyed on values (each sequence's (k, v_k^2)), not on objects.
+    a_{k,m} is the s^m coefficient of h_{p,k}(s): the exact Gegenbauer (Chebyshev for
+    p = 2) coefficient times the kernel factor, rounded once."""
     wanted = {k for pairs in squares for k, _ in pairs}
     low = sorted(wanted & _POWER_SUM_ORDERS.keys())
-    coeffs = tuple((k, tuple((m, _kernel_monomials(p, k)[m]) for m in _POWER_SUM_ORDERS[k]))
-                   for k in low)
+    coeffs = tuple((k, tuple((m, float(_kernel_factor(p, k, Fraction(1))
+                                       * _gegen_poly_exact(Fraction(p - 2, 2), k)[m]))
+                             for m in _POWER_SUM_ORDERS[k])) for k in low)
     orders = frozenset(m for k in low for m in _POWER_SUM_ORDERS[k])
     return orders, coeffs, tuple(sorted(wanted.difference(low)))
 
@@ -334,7 +318,7 @@ def stat_harmonics(sample: SphericalSample, weight_list) -> list:
     bits it has alone, and the same on points in any memory layout."""
     XT = np.ascontiguousarray(sample.points.T)
     p, n = XT.shape
-    squares = tuple(weights._squares(p)[0] for weights in weight_list)
+    squares = tuple(weights._per_p(p)[1] for weights in weight_list)
     orders, coeffs, high = _plan(p, squares)
     sums = _centered_power_sums(XT, orders)
     values = {k: sum(a * sums[m] for m, a in terms) for k, terms in coeffs}

@@ -321,6 +321,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert "replicate" in err and out == ""
 
+    # one cell, one row: a tau given twice is a data error, not a second row
+    twice = tmp_path / "twice.ini"
+    twice.write_text("[experiment]\np = 3\nf = vmf\ntests = rayleigh\nn_list = 200\n"
+                     "tau_grid = 2, 2\nreplicates = 40\n", encoding="utf-8")
+    code, out, err = run(capsys, "power-curve", str(twice))
+    assert code == 2
+    assert "tau must appear once" in err and out == ""
+
     empty_taus = run(capsys, "asymptotic", "--weights", "rayleigh",
                      "--f", "vmf", "--p", "3", "--taus", ",")
     assert empty_taus[0] == 2

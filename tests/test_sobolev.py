@@ -22,7 +22,7 @@ from sobotest.sobolev import (
 from sobotest.specfun import _gegen_poly_exact, gegenbauer_eval, harmonic_dim
 
 from oracles.poisson_kernel_oracle import poisson_rule, poisson_stat
-from oracles.sobolev_oracle import bingham_stat, rayleigh_stat
+from oracles.sobolev_oracle import bingham_stat, kernel_degree_stats, rayleigh_stat
 from oracles.uniform_sample_oracle import sample_uniform
 
 
@@ -103,12 +103,21 @@ def test_weight_sequence_validation():
     assert w.support_through(4) == [1, 4]
 
 
+@pytest.mark.parametrize("values", [(-1.0,), (0.5, -2.0, 0.0, 1.5), (1.0, 0.0, 0.0, 0.0, -0.7)])
+def test_the_sign_of_a_weight_does_not_matter(values):
+    # only v_k^2 enters: v and -v are one test, to the bit, on both routes
+    sample = sample_uniform(3, 200, seed=5)
+    w, neg = WeightSequence.finite(values), WeightSequence.finite([-v for v in values])
+    assert neg.null_terms(3) == w.null_terms(3)
+    assert stat_harmonic(sample, neg) == stat_harmonic(sample, w)
+    assert stat_kernel(sample, neg) == stat_kernel(sample, w)
+
+
 def test_truncation_geometric_rule():
     w = WeightSequence.from_rule(lambda k: 2.0 ** (-k), name="geom")
     info = w.truncation(3)
     exact_total = sum(4.0 ** (-k) * harmonic_dim(3, k) for k in range(1, 200))
-    assert info.tail_mass < 1e-6 * info.total_mass
-    assert info.total_mass == pytest.approx(exact_total, rel=1e-6)
+    assert info.tail_mass < 1e-6 * exact_total
     exact_tail = exact_total - sum(
         4.0 ** (-k) * harmonic_dim(3, k) for k in range(1, info.k_trunc + 1))
     assert exact_tail <= info.tail_mass
@@ -135,7 +144,7 @@ def test_truncation_finite_is_exact():
     info = w.truncation(4)
     assert info.k_trunc == 2
     assert info.tail_mass == 0.0
-    assert info.total_mass == pytest.approx(harmonic_dim(4, 1) + 0.25 * harmonic_dim(4, 2))
+    assert w.null_terms(4) == ((1.0, harmonic_dim(4, 1), 0.0), (0.25, harmonic_dim(4, 2), 0.0))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -347,20 +356,27 @@ def test_power_sums_drop_only_a_null_mean_term():
 @pytest.mark.parametrize("p,n", [(2, 5000), (3, 5000), (6, 2000), (7, 2000), (10, 2000),
                                  (20, 1000), (22, 2000), (23, 2000), (30, 500)])
 def test_power_sum_route_matches_basis_and_kernel(p, n):
-    """Degrees 1-4 from the centered power sums against stat_kernel and,
+    """Degrees 1-4 from the centered power sums against the kernel sum and,
     where the n x d_{p,k} basis is small, its column sums: relative
     _ROUTE_REL_BOUND = 1e-11, on a uniform and a vMF sample, and degree 4
     at p <= 3 on a vMF kappa = 1 sample with its strong mean direction
-    (degree 3 there: test_degree_three_with_a_strong_mean_direction)."""
+    (degree 3 there: test_degree_three_with_a_strong_mean_direction).
+    kernel_degree_stats gives the kernel sums of all degrees from one pass
+    over the pairwise products; at n = 5000 stat_kernel itself is checked
+    too, on degree 1 of each sample, its cheapest sweep."""
     samples = [(sample_uniform(p, n, seed=31), range(1, 5)),
                (sample_rotsym(RotSymConfig(p=p, kappa=4.0, f=vmf(), seed=32), n), range(1, 5))]
     if p <= 3:
         samples.append((sample_rotsym(RotSymConfig(p=p, kappa=1.0, f=vmf(), seed=32), n), (4,)))
     for sample, degrees in samples:
+        if n >= 5000:
+            w = WeightSequence.delta(1)
+            assert stat_harmonic(sample, w) == pytest.approx(stat_kernel(sample, w),
+                                                             rel=_ROUTE_REL_BOUND)
+        kernel = kernel_degree_stats(sample, max(degrees))
         for k in degrees:
-            w = WeightSequence.delta(k)
-            got = stat_harmonic(sample, w)
-            assert got == pytest.approx(stat_kernel(sample, w), rel=_ROUTE_REL_BOUND)
+            got = stat_harmonic(sample, WeightSequence.delta(k))
+            assert got == pytest.approx(kernel[k - 1], rel=_ROUTE_REL_BOUND)
             if harmonic_dim(p, k) * n <= 2_000_000:
                 assert got == pytest.approx(_basis_value(sample, k), rel=_ROUTE_REL_BOUND)
 
