@@ -170,6 +170,8 @@ def noncentrality_delayed(p: int, k: int, k_star: int, tau: float,
     Also evaluated through the alternating Gegenbauer-coefficient sum and
     checked to 1e-10 relative; noncentrality_standard is the case
     k_star = k."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
     if k_star < k:
@@ -557,11 +559,11 @@ def power_curve(weights: WeightSequence, p: int, f: AngularFunction, taus,
     taus = list(taus)
     for tau in taus:  # a blind curve builds no law to check them
         _check_tau(tau)
+    null = weights.null_terms(p)  # raises for p < 2, which a blind curve reads nowhere else
     report = classify_threshold(weights, f, q)
     if report.case == "blind":
         return [AsymptoticPower(alpha, 0.0, True) for _ in taus]
-    return _threshold_powers(weights, p, f, taus, alpha, report,
-                             *MixtureLaw(weights.null_terms(p)).quantile(alpha))
+    return _threshold_powers(weights, p, f, taus, alpha, report, *MixtureLaw(null).quantile(alpha))
 
 
 def _threshold_powers(weights: WeightSequence, p: int, f: AngularFunction, taus, alpha: float,

@@ -241,12 +241,12 @@ class PowerTable:
 
 
 class _Engine:
-    """Per-process experiment state: tests, their null upper-alpha points
-    (critical value, se), sampler inputs."""
+    """The experiment as a picklable value: its config, tests and their null
+    upper-alpha points (critical value, se), computed once by the caller and
+    sent with each cell to a pool worker."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.f = angular_function(config.f_id, config.b)
         self.tests = [parse_weights(name) for name in config.tests]
         self.quantiles = [limit_law(weights, config.p).quantile(config.alpha)
                           for weights in self.tests]
@@ -260,7 +260,8 @@ class _Engine:
         kappa = tau * float(n) ** (-1.0 / ell)
         cell_seed = int(stream(cfg.base_seed, 0, n, ell, taui).integers(
             0, 2**63 - 1))
-        sampler = RotSymConfig(p=cfg.p, kappa=kappa, f=self.f, seed=cell_seed)
+        sampler = RotSymConfig(p=cfg.p, kappa=kappa, f=angular_function(cfg.f_id, cfg.b),
+                               seed=cell_seed)
         rejects = [0] * len(self.quantiles)
         for replicate in range(cfg.replicates):
             sample = sample_rotsym(sampler, n, replicate=replicate)
@@ -276,30 +277,19 @@ class _Engine:
         return outcomes
 
 
-_POOL_ENGINE = None
-
-
-def _bind_pool_engine(config: ExperimentConfig) -> None:
-    global _POOL_ENGINE
-    _POOL_ENGINE = _Engine(config)
-
-
-def _pool_run_cell(cell):
-    return _POOL_ENGINE.run_cell(cell)
-
-
 def _asymptotic_references(config: ExperimentConfig, engine: _Engine) -> dict:
     """Per (test index, ell): power_curve along the tau grid, from this classification
     and the engine's null quantile, on the detection threshold; None off it."""
+    f = angular_function(config.f_id, config.b)
     refs = {}
     for ti, weights in enumerate(engine.tests):
         for ell in config.rate_exponents:
             horizon = max(1, ell // 2)
-            report = classify_threshold(weights, engine.f, horizon)
+            report = classify_threshold(weights, f, horizon)
             on_threshold = (report.case != "blind"
                             and 2 * report.k_star == ell)
             if on_threshold:
-                curve = _threshold_powers(weights, config.p, engine.f, config.tau_grid,
+                curve = _threshold_powers(weights, config.p, f, config.tau_grid,
                                           config.alpha, report, *engine.quantiles[ti])
                 refs[ti, ell] = [row.power for row in curve]
             else:
@@ -311,8 +301,8 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
     """Rejection frequencies over the full (test, n, ell, tau) grid.
 
     Deterministic in config.base_seed for every parallelism degree; each
-    test's null critical value is computed once per process and shared by
-    all replicates, and every test of a cell is decided on the same
+    test's null critical value is computed once and shared by all cells
+    and replicates, and every test of a cell is decided on the same
     samples.
     """
     engine = _Engine(config)
@@ -321,15 +311,14 @@ def run_power_experiment(config: ExperimentConfig) -> PowerTable:
              for n in config.n_list
              for ell in config.rate_exponents
              for taui in range(len(config.tau_grid))]
+    # the same bound run_cell either way; a pool worker gets the engine pickled with each cell
     if config.parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.parallelism,
-                                 initializer=_bind_pool_engine,
-                                 initargs=(config,)) as pool:
-            outcomes = list(pool.map(_pool_run_cell, cells))
+        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+            outcomes = list(pool.map(engine.run_cell, cells))
     else:
-        outcomes = [engine.run_cell(cell) for cell in cells]
+        outcomes = list(map(engine.run_cell, cells))
     rows = []
     for ti, weights in enumerate(engine.tests):
         for (n, ell, taui), per_test in zip(cells, outcomes):

@@ -46,6 +46,9 @@ _GEMM_ROWS, _GEMM_SIZE = 24, 10**6  # _gram's gemm range: below 24 rows, 1e6 mul
 # entries per block of points of the pairwise-product matrix W; a slice
 # of the degree k >= 5 basis has at most 4 times as many
 _FEATURE_BLOCK = 1 << 20
+# stat_kernel's products u_i'u_j per row block: arrays of at most 128 KiB, which the
+# allocator serves from its heap where larger ones are mapped and faulted in afresh
+_KERNEL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,7 @@ def stat_kernel(sample: SphericalSample, weights: WeightSequence) -> float:
     n, p = X.shape
     want = dict(weights._per_p(p)[1])
     total = 0.0
-    block = max(1, min(n, 2_000_000 // max(n, 1)))
+    block = max(1, _KERNEL_BLOCK // n)
     for i0 in range(0, n, block):
         gram = X[i0:i0 + block] @ X.T
         np.clip(gram, -1.0, 1.0, out=gram)

@@ -310,6 +310,40 @@ def test_noncentrality_delayed_validation():
             noncentrality_delayed(3, 1, 3, tau, vmf())
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: expansion_system(3, vmf(), -1), "order must be >= 0, got -1",
+                 id="expansion_system-order"),
+    pytest.param(lambda: expansion_system(3, vmf(), 2, m=0), "moment order must be >= 1, got 0",
+                 id="expansion_system-m"),
+    pytest.param(lambda: expansion_system(3, vmf(), 2, k=0), "degree must be >= 1, got 0",
+                 id="expansion_system-k"),
+    pytest.param(lambda: gegenbauer_expectation_coeffs(3, 1, -1, vmf()),
+                 "remainder order must be >= 0, got -1", id="gegenbauer_expectation_coeffs-r"),
+    pytest.param(lambda: noncentrality_delayed(3, 0, 2, 1.0, vmf()), "degree must be >= 1, got 0",
+                 id="noncentrality_delayed-k"),
+    # p is checked before the tau = 0 and f^(k_star)(0) = 0 shortcuts return 0
+    pytest.param(lambda: noncentrality_standard(1, 1, 0.0, vmf()), "p must be >= 2, got 1",
+                 id="noncentrality_standard-p-at-tau-0"),
+    pytest.param(lambda: noncentrality_delayed(0, 1, 3, 1.0, watson()), "p must be >= 2, got 0",
+                 id="noncentrality_delayed-p-at-zero-derivative"),
+    pytest.param(lambda: classify_threshold(RAYLEIGH, vmf(), 0),
+                 "search horizon must be >= 1, got 0", id="classify_threshold-q"),
+    pytest.param(lambda: limit_law(RAYLEIGH, 3, vmf(), 1.0, 0.0),
+                 "rate exponent must be > 0, got 0.0", id="limit_law-rate"),
+    pytest.param(lambda: power_curve(RAYLEIGH, 3, vmf(), [1.0], 1.0),
+                 "alpha must be in (0, 1), got 1.0", id="power_curve-alpha"),
+    # a blind curve builds no law, and still reads p
+    pytest.param(lambda: power_curve(RAYLEIGH, 1, watson(), [1.0], 0.05),
+                 "p must be >= 2, got 1", id="power_curve-blind-p"),
+    pytest.param(lambda: power_curve(RAYLEIGH, -3, vmf(), [1.0], 0.05),
+                 "p must be >= 2, got -3", id="power_curve-p"),
+])
+def test_arguments_out_of_range_name_the_argument(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_noncentrality_overflow_names_tau_and_degrees():
     # tau^(2 k_star) past the largest double, and so is the noncentrality tau^2 / 3
     with pytest.raises(ArithmeticError, match=re.escape(

@@ -334,6 +334,21 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert empty_taus[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "--weights", "rayleigh", "--f", "vmf", "--order", "0"),
+     "search horizon must be >= 1, got 0"),
+    (("simulate", "--p", "3", "--n", "0"), "n must be >= 1, got 0"),
+    (("test", "{narrow}"), "row width does not match the header"),
+    # a blind curve reads p nowhere else
+    (("asymptotic", "--weights", "rayleigh", "--f", "watson", "--p", "1"), "p must be >= 2, got 1"),
+], ids=["classify-order", "simulate-n", "test-narrow-rows", "asymptotic-blind-p"])
+def test_argument_out_of_range_exits_2(tmp_path, capsys, argv, message):
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("x1,x2,x3\n0.6,0.8\n1,0\n", encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(narrow=narrow) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("weights", ["0,,1", ",1", "1,", "1, ,2"])
 def test_weight_list_with_an_empty_field_exits_2(tmp_path, capsys, weights):
     # an empty field is malformed text, not a weight to skip

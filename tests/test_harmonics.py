@@ -216,6 +216,26 @@ def test_addition_kernel_degree_zero_and_errors():
         harmonics.basis_matrix(3, 1, np.array([[math.nan, 0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: harmonics.basis_matrix(3, 0, np.eye(3)), "degree must be >= 1, got 0",
+                 id="basis_matrix-k"),
+    pytest.param(lambda: harmonics.basis_matrix(3, 1, np.eye(4)),
+                 "X must be an (n, p) array with p >= 2", id="basis_matrix-width"),
+    pytest.param(lambda: harmonics.basis_matrix(3, 1, np.array([0.0, 0.0, 1.0])),
+                 "X must be an (n, p) array with p >= 2", id="basis_matrix-one-point"),
+    pytest.param(lambda: harmonics.basis_matrix(1, 1, np.ones((2, 1))),
+                 "X must be an (n, p) array with p >= 2", id="basis_matrix-p"),
+    pytest.param(lambda: harmonics.addition_kernel(1, 1, 0.3), "p must be >= 2, got 1",
+                 id="addition_kernel-p"),
+    pytest.param(lambda: harmonics.addition_kernel(3, -1, 0.3), "k must be >= 0, got -1",
+                 id="addition_kernel-k"),
+])
+def test_arguments_out_of_range_name_the_argument(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_near_pole_stability():
     eps = 1e-13
     x = np.array([eps, eps, math.sqrt(1.0 - 2.0 * eps**2)])

@@ -2,6 +2,7 @@
 determinism, and attachment of asymptotic reference curves."""
 
 import math
+import pickle
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from sobotest.harness import (
     run_power_experiment,
 )
 from sobotest.rng import stream
-from sobotest.rotsym import RotSymConfig, sample_rotsym
+from sobotest.rotsym import AngularFunction, RotSymConfig, sample_rotsym
 from sobotest.sobolev import stat_harmonic
 
 # Frozen reference: asymptotic Rayleigh power at p=3, vmf, threshold rate,
@@ -198,6 +199,20 @@ def test_config_list_with_an_empty_field_names_the_key(tmp_path, key, value):
         ExperimentConfig.from_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[other]\np = 3\nf = vmf\n", "config file {path} lacks an [experiment] section"),
+    ("[experiment]\nf = vmf\n", "config file {path} must set p and f"),
+    ("[experiment]\np = 3\nf = vmf\nreplicate = 10\n",
+     "config file {path} has unknown key 'replicate'"),
+])
+def test_config_file_errors_name_the_file_and_the_fault(tmp_path, text, message):
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        ExperimentConfig.from_file(path)
+    assert str(excinfo.value) == message.format(path=path)
+
+
 # ------------------------------------------------------------ power table
 
 def sample_table():
@@ -355,6 +370,18 @@ def test_cell_reproducible_in_isolation():
     second = _Engine(cfg).run_cell(cell)
     assert first == second
     assert len(first) == len(cfg.tests)
+
+
+def test_engine_run_cell_pickles_for_the_pool():
+    # a pool worker runs the engine it is sent: the bound run_cell pickles, with the
+    # parent's critical values, and holds no angular function (built from lambdas)
+    cfg = tiny_config(tests=("rayleigh", "bingham", "3-test", "1,0.5"))
+    engine = _Engine(cfg)
+    sent = pickle.loads(pickle.dumps(engine.run_cell))
+    assert sent.__self__.quantiles == engine.quantiles
+    assert not any(isinstance(v, AngularFunction) for v in vars(engine).values())
+    cell = (60, 2, 1)
+    assert sent(cell) == engine.run_cell(cell)
 
 
 def test_frequencies_rebuilt_from_the_documented_stream_keys():

@@ -80,6 +80,25 @@ def test_custom_profile_validation():
         f.derivative_at_zero(3)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rotsym.vmf().derivative_at_zero(-1),
+                 "derivative order must be >= 0, got -1", id="derivative_at_zero-k"),
+    pytest.param(lambda: rotsym.power(0), "exponent b must be a positive integer, got 0",
+                 id="power-b-zero"),
+    pytest.param(lambda: rotsym.power(1.5), "exponent b must be a positive integer, got 1.5",
+                 id="power-b-fraction"),
+    pytest.param(lambda: rotsym.custom(lambda s: 2.0 + s, [1.0]), "fn(0) must equal 1",
+                 id="custom-fn0"),
+    pytest.param(lambda: rotsym.sample_rotsym(rotsym.RotSymConfig(p=3, kappa=0.0,
+                                                                  f=rotsym.vmf()), 0),
+                 "n must be >= 1, got 0", id="sample_rotsym-n"),
+])
+def test_arguments_out_of_range_name_the_argument(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_normalizing_constants():
     for p, kappa, name, expected in NORM_CONSTANTS:
         got = normalizing_constant(p, kappa, _profile(name))
@@ -588,4 +607,7 @@ def test_csv_validation(tmp_path):
         rotsym.load_csv(path)
     path.write_text("x1,x2,x3\n1,0,zero\n")
     with pytest.raises(ValueError):
+        rotsym.load_csv(path)
+    path.write_text("x1,x2,x3\n0.6,0.8\n1,0\n")
+    with pytest.raises(ValueError, match="^row width does not match the header$"):
         rotsym.load_csv(path)

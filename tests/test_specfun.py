@@ -111,6 +111,26 @@ def test_t_factor_values():
         specfun.t_factor(3, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: specfun.harmonic_dim(1, 2), "p must be >= 2, got 1", id="harmonic_dim-p"),
+    pytest.param(lambda: specfun.harmonic_dim(3, -1), "k must be >= 0, got -1", id="harmonic_dim-k"),
+    pytest.param(lambda: specfun.t_factor(1, 1), "p must be >= 2, got 1", id="t_factor-p"),
+    pytest.param(lambda: specfun.t_factor(3, 0), "k must be >= 1, got 0", id="t_factor-k"),
+    pytest.param(lambda: specfun.null_moment(0, 2), "p must be >= 2, got 0", id="null_moment-p"),
+    pytest.param(lambda: specfun.null_moment(3, -1), "m must be >= 0, got -1", id="null_moment-m"),
+    pytest.param(lambda: specfun.surface_constant(1), "p must be >= 2, got 1",
+                 id="surface_constant-p"),
+    pytest.param(lambda: specfun.monomial_to_gegenbauer(1, 2), "p must be >= 2, got 1",
+                 id="monomial_to_gegenbauer-p"),
+    pytest.param(lambda: specfun.monomial_to_gegenbauer(3, -1), "power must be >= 0, got -1",
+                 id="monomial_to_gegenbauer-power"),
+])
+def test_arguments_out_of_range_name_the_argument(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_t_factor_orthogonality_lemma():
     # c_p * integral(C_k C_j w) = delta_kj / t_{p,k}^2, with t_{p,0} := 1
     for p in (2, 3, 4, 5):
