@@ -88,6 +88,9 @@ class ExpansionSystem:
 def expansion_system(p: int, f: AngularFunction, order: int,
                      m: Optional[int] = None,
                      k: Optional[int] = None) -> ExpansionSystem:
+    # p first: at order 0 no moment is taken, so nothing else would read it
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if order > _MAX_SYSTEM_ORDER:
@@ -309,8 +312,8 @@ class MixtureLaw:
         self._k_half_cut = k0 + 0.5 * self._cut * k1  # K(cut / 2), for a Chernoff bound
 
     def sample(self, draws: int = 1_000_000, seed: int = 0) -> np.ndarray:
-        """Sorted Monte Carlo draws from per-(term, block) counter-based
-        streams, exactly linear in the weights; the tests' independent
+        """Sorted Monte Carlo draws from streams keyed by (seed, term,
+        block), exactly linear in the weights; the tests' independent
         reference for the evaluator, which never uses it."""
         total = np.zeros(draws)
         for idx, (weight, df, nc) in enumerate(self.terms):

@@ -16,8 +16,7 @@ come by angle addition from the cos and sin of each cell's left edge,
 stored with the table (cells at most pi/128 wide), and the uniform angle
 w of the tangent direction at p = 3 the same way from a 4096-step
 circle.  A sample is stored as coordinate rows: `points` is the (n, p)
-view of a C-contiguous (p, n) array, which the sampler writes one
-coordinate row at a time."""
+view of a C-contiguous (p, n) array, which the sampler fills in place."""
 
 from __future__ import annotations
 
@@ -325,7 +324,8 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
     deterministic in (config, n, replicate): u = (sin(phi) xi, cos(phi))
     with xi a sign at p = 2, one uniform angle at p = 3, else a
     normalized Gaussian in R^(p-1), written into the sample's (p, n)
-    coordinate rows one row at a time."""
+    coordinate rows: at p >= 4 the normals are drawn into the p - 1
+    tangent rows and scaled there."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = rng.stream(config.seed, replicate)
@@ -342,14 +342,16 @@ def sample_rotsym(config: RotSymConfig, n: int, replicate: int = 0) -> Spherical
         np.negative(rows[0], out=rows[0])
         np.multiply(cos_w, s, out=rows[1])
     else:
-        # xi = z / |z| for n normals z in R^(p-1), rows with a tiny norm redrawn;
-        # one pass writes the rows s xi = z' (s / |z|)
-        z = gen.standard_normal((n, p - 1))
-        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        # xi = z / |z| for n normals z in R^(p-1), drawn straight into the p - 1
+        # tangent rows, one column per point; points with a tiny norm are redrawn,
+        # then the rows are scaled in place to s xi = z (s / |z|)
+        z = rows[:-1]
+        gen.standard_normal(out=z)
+        norms = np.sqrt(np.einsum("ij,ij->j", z, z))
         while (bad := norms < 1e-12).any():
-            z[bad] = gen.standard_normal((int(bad.sum()), p - 1))
-            norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-        np.multiply(z.T, s / norms, out=rows[:-1])
+            z[:, bad] = gen.standard_normal((p - 1, int(bad.sum())))
+            norms = np.sqrt(np.einsum("ij,ij->j", z, z))
+        z *= np.divide(s, norms, out=norms)
     return SphericalSample(rows.T)
 
 

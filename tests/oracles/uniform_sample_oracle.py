@@ -9,5 +9,5 @@ from sobotest.rotsym import RotSymConfig, SphericalSample, sample_rotsym, vmf
 
 def sample_uniform(p: int, n: int, seed: int = 0, replicate: int = 0) -> SphericalSample:
     """n independent uniform draws on the sphere in R^p, from the
-    counter-based stream (seed, replicate)."""
+    stream keyed by (seed, replicate)."""
     return sample_rotsym(RotSymConfig(p, 0.0, vmf(), seed), n, replicate)

@@ -317,6 +317,11 @@ def test_noncentrality_delayed_validation():
                  id="expansion_system-m"),
     pytest.param(lambda: expansion_system(3, vmf(), 2, k=0), "degree must be >= 1, got 0",
                  id="expansion_system-k"),
+    # p is checked before order 0 builds its 1 x 1 system, which takes no moment
+    pytest.param(lambda: expansion_system(1, vmf(), 0), "p must be >= 2, got 1",
+                 id="expansion_system-p-1"),
+    pytest.param(lambda: expansion_system(-5, vmf(), 0), "p must be >= 2, got -5",
+                 id="expansion_system-p-negative"),
     pytest.param(lambda: gegenbauer_expectation_coeffs(3, 1, -1, vmf()),
                  "remainder order must be >= 0, got -1", id="gegenbauer_expectation_coeffs-r"),
     pytest.param(lambda: noncentrality_delayed(3, 0, 2, 1.0, vmf()), "degree must be >= 1, got 0",

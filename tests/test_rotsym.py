@@ -10,6 +10,7 @@ addition are checked against np.longdouble and libm references.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,8 +247,9 @@ def test_p2_tangent_signs():
 
 
 class _ZeroRowStream:
-    """A stream whose first normal draw has row 0 all zero and row 1 zero
-    but for its last entry; counts normals."""
+    """A stream whose first normal draw, (p - 1, n) with one column per
+    point, has point 0 all zero and point 1 zero but for its last
+    coordinate; counts normals."""
 
     def __init__(self, gen):
         self.gen, self.normals = gen, 0
@@ -255,19 +257,19 @@ class _ZeroRowStream:
     def random(self, size):
         return self.gen.random(size)
 
-    def standard_normal(self, size):
-        z = self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        z = self.gen.standard_normal(size, out=out)
         if self.normals == 0:
-            z[0] = 0.0
-            z[1, :-1] = 0.0
+            z[:, 0] = 0.0
+            z[:-1, 1] = 0.0
         self.normals += z.size
         return z
 
 
 @pytest.mark.parametrize("p,kappa", [(4, 0.0), (5, 2.0)])
 def test_tiny_gaussian_rows_are_redrawn(monkeypatch, p, kappa):
-    # every kappa draws p - 1 tangent normals per point: row 0 is tiny and
-    # redrawn, row 1 keeps its one nonzero entry
+    # every kappa draws p - 1 tangent normals per point: point 0 is tiny and
+    # redrawn, point 1 keeps its one nonzero coordinate
     cfg = rotsym.RotSymConfig(p=p, kappa=kappa, f=rotsym.vmf(), seed=4)
     n = 50
     plain = rotsym.sample_rotsym(cfg, n).points
@@ -283,6 +285,20 @@ def test_tiny_gaussian_rows_are_redrawn(monkeypatch, p, kappa):
     np.testing.assert_allclose(np.linalg.norm(points[:2], axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(points[2:], plain[2:])
     np.testing.assert_array_equal(points[:, -1], plain[:, -1])  # t is drawn before xi
+
+
+def test_high_p_draw_allocates_little_beyond_its_sample():
+    # the tangent normals are drawn into the sample's own rows: no (n, p - 1)
+    # array of normals sits next to the (p, n) sample
+    cfg = rotsym.RotSymConfig(p=20, kappa=0.5, f=rotsym.vmf(), seed=3)
+    rotsym.sample_rotsym(cfg, 2000)
+    tracemalloc.start()
+    try:
+        points = rotsym.sample_rotsym(cfg, 2000, replicate=1).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * points.nbytes
 
 
 # log f(kappa cos phi) - log f(kappa) for the references below, written out

@@ -29,7 +29,13 @@ degree-2 scatter and the degree-4 Gram by gemm where they are small, and
 W's sqrt(2) applied to the squared entries of the results, not to W;
 points do not move, statistics of degrees 2-4 move by rounding, no golden
 row moved; in sampler_bits.json 25 `stat_2`, 23 `stat_3` and 31 `stat_4`
-of the 32 fields each moved, by at most 2.9e-14 relative.
+of the 32 fields each moved, by at most 2.9e-14 relative.  Version 10:
+every stream is SFC64 under the same SeedSequence keys (Philox before),
+and at p >= 4 the tangent normals fill the (p - 1, n) coordinate rows,
+one column per point, where they were drawn point by point; every draw
+moves: 119 of 312 rows of readme_vmf_m8, 134 of 312 of readme_watson_m8,
+3 of 8 of p20_vmf_multi_m8 and 6 of 18 of p2_vmf_m8, and all 160 fields
+of sampler_bits.json.
 
 Protocol: a fixture changes only together with a bump of
 `sobotest.rng.STREAM_VERSION`, and the change that bumps it lists every
@@ -44,7 +50,8 @@ Regenerate (only under the protocol above): bump STREAM_VERSION, run
     PYTHONPATH=src python3 tests/test_stream_golden.py --write
 
 which prints every row it moves as `name: old -> new`, the list that
-CHANGES.md takes, then set FIXTURE_STREAM_VERSION to the new version.
+CHANGES.md takes, and ends with one `name: moved/total rows` line per
+file; then set FIXTURE_STREAM_VERSION to the new version.
 The writer exits non-zero without writing while STREAM_VERSION equals
 FIXTURE_STREAM_VERSION, the version the files were written under.
 """
@@ -61,7 +68,7 @@ from sobotest.rng import STREAM_VERSION
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 # the version the files in GOLDEN_DIR were generated under
-FIXTURE_STREAM_VERSION = 9
+FIXTURE_STREAM_VERSION = 10
 
 _README_GRID = dict(
     p=3,
@@ -117,16 +124,20 @@ def _write() -> None:
         sys.exit(f"STREAM_VERSION {STREAM_VERSION} is the version of the fixtures: "
                  "bump it before regenerating them")
     GOLDEN_DIR.mkdir(exist_ok=True)
+    counts = {}
     for name, config in CONFIGS.items():
         path = GOLDEN_DIR / f"{name}.csv"
         old = _rows(path.read_text(encoding="utf-8")) if path.exists() else {}
         text = run_power_experiment(config).to_csv()
         path.write_text(text, encoding="utf-8")
         new = _rows(text)
-        for cell in old | new:
-            if old.get(cell) != new.get(cell):
-                print(f"{name}: {old.get(cell)} -> {new.get(cell)}")
+        moved = [cell for cell in old | new if old.get(cell) != new.get(cell)]
+        for cell in moved:
+            print(f"{name}: {old.get(cell)} -> {new.get(cell)}")
         print(f"wrote {path}")
+        counts[name] = (len(moved), len(old | new))
+    for name, (moved, total) in counts.items():
+        print(f"{name}: moved/total rows {moved}/{total}")
 
 
 if __name__ == "__main__":
